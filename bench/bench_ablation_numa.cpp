@@ -2,9 +2,9 @@
 //
 // Measures what NUMA mode buys on the actual host, per workload:
 //
-//   * wordcount map+shuffle throughput, NUMA off (parallel_reduce over
-//     std::map partials) vs NUMA on (Metis-style per-lane kv-stores,
-//     lock-free single-writer, fixed lane-order merge);
+//   * one wordcount map task over the whole corpus, NUMA off vs on. Both
+//     modes run the same single-threaded per-task count (the map has one
+//     path), so this row is a control: any gap is host noise;
 //   * the C-means accumulate sweep, NUMA off vs on (pinning + socket-local
 //     steal order + input prefault);
 //   * steal locality (exec.pool.steals_local / steals_remote) under each
@@ -13,9 +13,8 @@
 //     change the bytes (exit 1 if it does).
 //
 // On a single-socket host the steal-order/pinning deltas are noise by
-// design (the lane map degenerates to the flat one); the per-lane shuffle
-// win is real everywhere because it also removes the map-merge combine.
-// Wall-clock numbers vary run to run; the identity verdict must not.
+// design (the lane map degenerates to the flat one). Wall-clock numbers
+// vary run to run; the identity verdict must not.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -69,10 +68,10 @@ std::string cell(double seconds, double baseline_seconds) {
 
 int main() {
   bench::print_header(
-      "Ablation — NUMA mode: pinning, socket-local steals, per-lane shuffle",
-      "Real host time. The wordcount shuffle win comes from per-lane "
-      "kv-stores (no map-merge combine); pinning/steal-order deltas only "
-      "appear on multi-socket hosts. Bytes must match between modes.");
+      "Ablation — NUMA mode: pinning, socket-local steals",
+      "Real host time. Wordcount runs the same map path in both modes (a "
+      "control row); pinning/steal-order deltas only appear on "
+      "multi-socket hosts. Bytes must match between modes.");
 
   auto& pool = exec::ThreadPool::instance();
   const numa::Topology host = numa::discover();
@@ -152,7 +151,7 @@ int main() {
   TextTable t({"workload", "numa off", "numa on", "speedup"});
   char sp[32];
   std::snprintf(sp, sizeof(sp), "%.2fx", on.wc_s > 0 ? off.wc_s / on.wc_s : 0);
-  t.add_row({"wordcount map+shuffle", cell(off.wc_s, off.wc_s),
+  t.add_row({"wordcount map (same path)", cell(off.wc_s, off.wc_s),
              cell(on.wc_s, off.wc_s), sp});
   std::snprintf(sp, sizeof(sp), "%.2fx", on.cm_s > 0 ? off.cm_s / on.cm_s : 0);
   t.add_row({"cmeans accumulate", cell(off.cm_s, off.cm_s),

@@ -1,5 +1,7 @@
 #include "apps/wordcount.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -7,15 +9,12 @@
 #include "common/error.hpp"
 #include "core/calibration.hpp"
 #include "exec/parallel.hpp"
-#include "numa/kv_store.hpp"
-#include "numa/topology.hpp"
 
 namespace prs::apps {
 namespace {
 
-/// Host-pool grain: scanning a line is cheap (~tens of flops), so chunks
-/// need many lines to amortize the hand-off.
-constexpr std::size_t kMapGrain = 256;
+/// Host-pool grain of the cost-model scan: a line is a few dozen bytes.
+constexpr std::size_t kMeasureGrain = 4096;
 
 void count_line(const std::string& line, std::map<std::string, long>& acc) {
   std::istringstream ss(line);
@@ -23,56 +22,134 @@ void count_line(const std::string& line, std::map<std::string, long>& acc) {
   while (ss >> word) acc[word]++;
 }
 
-/// Exactly the C-locale whitespace set `istream >> std::string` skips —
-/// the two tokenizers below must agree word-for-word or the shuffle paths
-/// would diverge.
+/// Exactly the C-locale whitespace set `istream >> std::string` skips, so
+/// the map's tokenizer agrees word for word with wordcount_serial.
 bool is_word_space(char ch) {
   return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\v' || ch == '\f' ||
          ch == '\r';
 }
 
-/// Allocation-free tokenizer for the per-lane path: splits like
-/// `ss >> word` but feeds string_views straight into the store (no
-/// std::string per word, no tree rebalance per count).
-void count_line_fast(const std::string& line, numa::LaneKvStore& store) {
-  const char* p = line.data();
-  const char* const end = p + line.size();
-  while (p < end) {
-    while (p < end && is_word_space(*p)) ++p;
-    const char* const w = p;
-    while (p < end && !is_word_space(*p)) ++p;
-    if (p > w) store.add(std::string_view(w, static_cast<std::size_t>(p - w)), 1);
+/// One map task's word counts: open addressing with linear probing, keys
+/// viewing the corpus lines (no string per word). One table per thread,
+/// reused by every task that thread runs; drain() empties it.
+class WordTable {
+ public:
+  static constexpr std::size_t kInitialSlots = 1024;
+
+  WordTable() : slots_(kInitialSlots) {}
+
+  void count_line(const std::string& line) {
+    const char* p = line.data();
+    const char* const end = p + line.size();
+    while (p < end) {
+      while (p < end && is_word_space(*p)) ++p;
+      const char* const w = p;
+      while (p < end && !is_word_space(*p)) ++p;
+      if (p > w) add(std::string_view(w, static_cast<std::size_t>(p - w)));
+    }
   }
-}
+
+  /// Emits every (word, count) in ascending key order — std::map's order —
+  /// and leaves the table empty for the thread's next task.
+  void drain(core::Emitter<std::string, long>& e) {
+    std::sort(used_.begin(), used_.end(), [this](std::size_t a, std::size_t b) {
+      return slots_[a].key < slots_[b].key;
+    });
+    e.reserve(used_.size());
+    for (const std::size_t i : used_) {
+      e.emit(std::string(slots_[i].key), slots_[i].count);
+      slots_[i] = Slot{};
+    }
+    used_.clear();
+  }
+
+ private:
+  struct Slot {
+    std::string_view key;
+    std::size_t hash = 0;
+    long count = 0;  // 0 = empty
+  };
+
+  void add(std::string_view word) {
+    // Grow before inserting so the probe always finds a free slot; 70%
+    // load keeps the probe runs short.
+    if ((used_.size() + 1) * 10 >= slots_.size() * 7) grow();
+    const std::size_t h = std::hash<std::string_view>{}(word);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.count == 0) {
+        s = Slot{word, h, 1};
+        used_.push_back(i);
+        return;
+      }
+      if (s.hash == h && s.key == word) {
+        ++s.count;
+        return;
+      }
+    }
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t& u : used_) {
+      std::size_t i = old[u].hash & mask;
+      while (slots_[i].count != 0) i = (i + 1) & mask;
+      slots_[i] = old[u];
+      u = i;
+    }
+  }
+
+  std::vector<Slot> slots_;       // power-of-two size
+  std::vector<std::size_t> used_;  // occupied slot indices
+};
 
 /// Shape of the actual corpus, measured once per spec so the Eq (8) cost
 /// model reflects the data really passed in — not a hardcoded
-/// 10-words-per-line assumption.
+/// 10-words-per-line assumption. Counts are integers, so the parallel scan
+/// is exact; its space/tab word split is the cost model's, not the map's.
 struct CorpusShape {
   double line_bytes = 0.0;  // average bytes per line
   double word_len = 0.0;    // average bytes per word
 };
 
-CorpusShape measure(const Corpus& corpus) {
+struct ShapeCounts {
   std::size_t bytes = 0, words = 0, word_bytes = 0;
-  for (const auto& line : corpus) {
-    bytes += line.size();
-    bool in_word = false;
-    for (const char ch : line) {
-      const bool space = ch == ' ' || ch == '\t';
-      if (!space) {
-        ++word_bytes;
-        if (!in_word) ++words;
-      }
-      in_word = !space;
-    }
-  }
+};
+
+CorpusShape measure(const Corpus& corpus) {
+  const ShapeCounts c = exec::parallel_reduce(
+      0, corpus.size(), kMeasureGrain, ShapeCounts{},
+      [&corpus](std::size_t b, std::size_t en, ShapeCounts acc) {
+        for (std::size_t i = b; i < en; ++i) {
+          const std::string& line = corpus[i];
+          acc.bytes += line.size();
+          bool in_word = false;
+          for (const char ch : line) {
+            const bool space = ch == ' ' || ch == '\t';
+            if (!space) {
+              ++acc.word_bytes;
+              if (!in_word) ++acc.words;
+            }
+            in_word = !space;
+          }
+        }
+        return acc;
+      },
+      [](ShapeCounts a, const ShapeCounts& b) {
+        a.bytes += b.bytes;
+        a.words += b.words;
+        a.word_bytes += b.word_bytes;
+        return a;
+      });
   CorpusShape s;
   const auto n = static_cast<double>(corpus.size());
-  s.line_bytes = n > 0 ? static_cast<double>(bytes) / n : 0.0;
-  s.word_len = words > 0
-                   ? static_cast<double>(word_bytes) / static_cast<double>(words)
-                   : 0.0;
+  s.line_bytes = n > 0 ? static_cast<double>(c.bytes) / n : 0.0;
+  s.word_len = c.words > 0 ? static_cast<double>(c.word_bytes) /
+                                 static_cast<double>(c.words)
+                           : 0.0;
   return s;
 }
 
@@ -110,47 +187,14 @@ WordCountSpec wordcount_spec(std::shared_ptr<const Corpus> corpus) {
   spec.name = "wordcount";
   spec.cpu_map = [corpus](const core::InputSlice& s,
                           core::Emitter<std::string, long>& e) {
-    // NUMA mode: Metis-style shuffle. One open-addressed store per pool
-    // lane, written lock-free by its owner thread only (a thief counts
-    // stolen chunks into its *own* store), then merged in ascending lane
-    // order. Counts are integers, so any distribution of words over lanes
-    // merges to the same sorted map — byte-identical to the reduce path
-    // below at every thread count and topology (tests/shuffle_test.cpp,
-    // tests/numa_test.cpp).
-    if (numa::enabled()) {
-      const int lanes = exec::ThreadPool::instance().threads();
-      std::vector<numa::LaneKvStore> stores;
-      stores.reserve(static_cast<std::size_t>(lanes));
-      // Start tiny: nearly all slot pages are then allocated by grow()
-      // *inside the owner lane* — first-touched on the owner's socket.
-      for (int i = 0; i < lanes; ++i) stores.emplace_back(8);
-      exec::parallel_for(
-          s.begin, s.end, kMapGrain, [&](std::size_t b, std::size_t en) {
-            numa::LaneKvStore& mine = stores[static_cast<std::size_t>(
-                exec::ThreadPool::current_lane())];
-            for (std::size_t i = b; i < en; ++i) {
-              count_line_fast((*corpus)[i], mine);
-            }
-          });
-      for (auto& [w, c] : numa::merge_lane_stores(stores)) e.emit(w, c);
-      return;
+    // One task counts its lines on one thread (the runner runs a job's
+    // tasks side by side); the combiner inside the mapper leaves one pair
+    // per distinct word.
+    thread_local WordTable table;
+    for (std::size_t i = s.begin; i < s.end; ++i) {
+      table.count_line((*corpus)[i]);
     }
-    // Per-task pre-aggregation (combiner inside the mapper), spread over
-    // the host pool. Counts are integers and map merging is
-    // order-insensitive, so the merged result is exact for any thread
-    // count; the fixed-order tree combine makes it deterministic anyway.
-    using Counts = std::map<std::string, long>;
-    Counts acc = exec::parallel_reduce(
-        s.begin, s.end, kMapGrain, Counts{},
-        [&corpus](std::size_t b, std::size_t en, Counts m) {
-          for (std::size_t i = b; i < en; ++i) count_line((*corpus)[i], m);
-          return m;
-        },
-        [](Counts a, Counts b) {
-          for (auto& [w, c] : b) a[w] += c;
-          return a;
-        });
-    for (auto& [w, c] : acc) e.emit(w, c);
+    table.drain(e);
   };
   spec.gpu_map = spec.cpu_map;
   spec.modeled_map = [](const core::InputSlice&,

@@ -115,7 +115,7 @@ Snapshot decode_snapshot(const std::string& blob) {
 void put_matrix(Writer& w, const linalg::MatrixD& m) {
   w.u64(m.rows());
   w.u64(m.cols());
-  for (std::size_t i = 0; i < m.size(); ++i) w.f64(m.data()[i]);
+  w.f64s(m.data(), m.size());
 }
 
 void get_matrix(Reader& r, linalg::MatrixD& m) {
@@ -123,8 +123,12 @@ void get_matrix(Reader& r, linalg::MatrixD& m) {
   const std::uint64_t cols = r.u64();
   PRS_REQUIRE(rows < (1u << 20) && cols < (1u << 20),
               "ckpt: implausible matrix dimensions in snapshot");
+  // Both dimensions are below 2^20, so the product cannot overflow; check
+  // it against the payload before allocating anything.
+  PRS_REQUIRE(rows * cols <= r.remaining() / sizeof(double),
+              "ckpt: matrix dimensions exceed the snapshot payload");
   linalg::MatrixD out(rows, cols);
-  for (std::size_t i = 0; i < out.size(); ++i) out.data()[i] = r.f64();
+  r.f64s(out.data(), out.size());
   m = std::move(out);
 }
 

@@ -6,13 +6,15 @@
 // instead of memcpy-ing structs (struct layout and padding are not part of
 // the format). Doubles are transported via their IEEE-754 bit pattern
 // (std::bit_cast), which round-trips NaNs, infinities, -0.0 and denormals
-// bit-exactly.
+// bit-exactly. Runs of doubles (f64s) are the one bulk copy: on a
+// little-endian host their in-memory bytes already are the wire bytes.
 //
 // The Reader is bounds-checked: any read past the end of the buffer throws
 // prs::Error. Malformed input must never be undefined behaviour.
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -48,6 +50,17 @@ class Writer {
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+  /// `n` doubles, the same bytes as n calls to f64(): one reserved copy on
+  /// little-endian hosts, byte-wise elsewhere.
+  void f64s(const double* v, std::size_t n) {
+    buf_.reserve(buf_.size() + n * sizeof(double));
+    if constexpr (std::endian::native == std::endian::little) {
+      buf_.append(reinterpret_cast<const char*>(v), n * sizeof(double));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) f64(v[i]);
+    }
+  }
 
   /// Length-prefixed byte string (may contain NULs).
   void str(std::string_view s) {
@@ -95,6 +108,20 @@ class Reader {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
+
+  /// Reads `n` doubles written by Writer::f64s into `out`.
+  void f64s(double* out, std::size_t n) {
+    PRS_REQUIRE(n <= remaining() / sizeof(double),
+                "ckpt: truncated snapshot payload (need " + std::to_string(n) +
+                    " doubles, have " + std::to_string(remaining()) +
+                    " bytes)");
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, data_.data() + pos_, n * sizeof(double));
+      pos_ += n * sizeof(double);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) out[i] = f64();
+    }
+  }
 
   std::string str() {
     const std::uint64_t n = u64();

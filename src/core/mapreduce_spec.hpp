@@ -36,6 +36,10 @@ class Emitter {
     pairs_.emplace_back(std::move(key), std::move(value));
   }
 
+  /// Pre-sizes the pair buffer (the runner does this on the simulator
+  /// thread before payloads run on pool workers; DESIGN.md §4f).
+  void reserve(std::size_t pairs) { pairs_.reserve(pairs); }
+
   std::vector<std::pair<K, V>>& pairs() { return pairs_; }
   const std::vector<std::pair<K, V>>& pairs() const { return pairs_; }
   std::size_t size() const { return pairs_.size(); }

@@ -12,7 +12,9 @@
 // documented in simtime/process.hpp.
 #pragma once
 
+#include <cmath>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,6 +26,7 @@
 #include "core/job.hpp"
 #include "core/mapreduce_spec.hpp"
 #include "core/schedule_policy.hpp"
+#include "exec/parallel.hpp"
 #include "obs/trace.hpp"
 #include "simtime/channel.hpp"
 #include "simtime/future.hpp"
@@ -50,6 +53,103 @@ JobShape job_shape(const MapReduceSpec<K, V>& spec) {
   return shape;
 }
 
+/// The functional map payloads of one job that a device has accepted but
+/// whose result no completion has needed yet (DESIGN.md §4f).
+///
+/// A payload runs after its task is submitted and no later than its
+/// task's completion step. The first completion that needs a pending
+/// result runs the whole pending set: payloads more than twice the set's
+/// mean slice one by one on the simulator thread, then one more payload
+/// there, then, with every other emitter pre-sized there from that
+/// payload's pairs per input item, the rest in one host-pool region
+/// (grain 1; the payloads' own regions run inline). Payloads only read
+/// job state and write their own emitter, and an emitter is read only
+/// after its own task's completion, so virtual time and output bytes
+/// cannot depend on when or where the batch ran. Each payload's exception
+/// is rethrown at its own task's completion.
+template <typename K, typename V>
+class PendingMaps {
+ public:
+  using MapFn = typename MapReduceSpec<K, V>::MapFn;
+
+  struct Payload {
+    MapFn fn;
+    InputSlice slice;
+    Emitter<K, V>* emitter = nullptr;
+    bool ran = false;
+    std::exception_ptr error;
+  };
+
+  /// Queues fn(slice, emitter). `emitter` must outlive the job; the
+  /// returned handle lives as long as this set.
+  Payload* add(const MapFn& fn, InputSlice slice, Emitter<K, V>& emitter) {
+    payloads_.push_back(Payload{fn, slice, &emitter, false, nullptr});
+    pending_.push_back(&payloads_.back());
+    return pending_.back();
+  }
+
+  /// The completion step of `p`'s task: runs the pending set unless `p`
+  /// already ran, then rethrows `p`'s exception, if any.
+  void complete(Payload& p) {
+    if (!p.ran) run_pending();
+    if (p.error != nullptr) std::rethrow_exception(p.error);
+  }
+
+ private:
+  static void run(Payload& p) {
+    try {
+      p.fn(p.slice, *p.emitter);
+    } catch (...) {
+      p.error = std::current_exception();
+    }
+    p.ran = true;
+  }
+
+  void run_pending() {
+    std::vector<Payload*> batch;
+    batch.swap(pending_);
+    // An outsized payload (a GPU share's block beside many small CPU
+    // blocks) would run serially on one lane of the batch, and its large
+    // buffers would come from that lane's malloc arena (see below). Alone
+    // on the simulator thread its own regions use the whole pool.
+    std::size_t items = 0;
+    for (const Payload* p : batch) items += p->slice.size();
+    const std::size_t outsized = 2 * items / batch.size();
+    std::vector<Payload*> rest;
+    for (Payload* p : batch) {
+      if (p->slice.size() > outsized) {
+        run(*p);
+      } else {
+        rest.push_back(p);
+      }
+    }
+    if (rest.empty()) return;
+    run(*rest.front());
+    // Sized here rather than grown on the workers: buffers allocated on
+    // the simulator thread reuse memory the job's caller already freed
+    // (worker-thread arenas cannot), which keeps peak RSS flat. One
+    // payload's pair count is only a sample — outputs such as wordcount's
+    // distinct words vary from block to block — so size an eighth above
+    // it; a short buffer would regrow on a worker.
+    const Payload& first = *rest.front();
+    const double per_item =
+        first.slice.empty()
+            ? 0.0
+            : 1.125 * static_cast<double>(first.emitter->size()) /
+                  static_cast<double>(first.slice.size());
+    for (std::size_t i = 1; i < rest.size(); ++i) {
+      rest[i]->emitter->reserve(static_cast<std::size_t>(
+          std::ceil(per_item * static_cast<double>(rest[i]->slice.size()))));
+    }
+    exec::parallel_for(1, rest.size(), 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) run(*rest[i]);
+    });
+  }
+
+  std::deque<Payload> payloads_;   // stable addresses for the task bodies
+  std::vector<Payload*> pending_;  // submitted, not yet run
+};
+
 /// Mutable state shared by the per-node processes of one job run.
 template <typename K, typename V>
 struct JobState {
@@ -61,6 +161,12 @@ struct JobState {
   std::vector<double> cpu_fraction;  // p: share mapped on the node's CPU
   std::vector<int> gpu_streams;
   std::vector<std::vector<InputSlice>> node_partitions;
+
+  // Map payloads waiting for their first needed result. Per job, not per
+  // simulator or cluster: handles live exactly as long as the emitters
+  // they fill, and a flush runs only this job's payloads, never those of
+  // another iteration sharing the simulator (pipelined windows).
+  PendingMaps<K, V> pending_maps;
 
   // Outputs / accounting (single-threaded simulator: no locking needed).
   std::map<K, V> final_output;
@@ -102,10 +208,10 @@ struct NodeMapBatch {
   std::uint64_t gpu_items = 0;                  // input items mapped on GPU
 };
 
-/// Builds the timed CPU map task for `slice` (payload emits into a fresh
-/// emitter owned by `batch`).
+/// Builds the timed CPU map task for `slice`. Its payload, emitting into a
+/// fresh emitter owned by `batch`, joins the job's pending set.
 template <typename K, typename V>
-simdev::CpuTask make_cpu_map_task(const JobState<K, V>& st,
+simdev::CpuTask make_cpu_map_task(JobState<K, V>& st,
                                   NodeMapBatch<K, V>& batch,
                                   InputSlice slice) {
   const auto& spec = *st.spec;
@@ -118,19 +224,20 @@ simdev::CpuTask make_cpu_map_task(const JobState<K, V>& st,
   t.memory_efficiency = spec.efficiency.cpu_memory;
 
   batch.emitters.emplace_back();
-  Emitter<K, V>* emitter = &batch.emitters.back();
   const auto& fn = st.cfg.mode == ExecutionMode::kFunctional
                        ? spec.cpu_map
                        : spec.modeled_map;
   if (fn) {
-    t.body = [fn, slice, emitter] { fn(slice, *emitter); };
+    auto* pending = &st.pending_maps;
+    auto* p = pending->add(fn, slice, batch.emitters.back());
+    t.body = [pending, p] { pending->complete(*p); };
   }
   return t;
 }
 
-/// Builds the timed GPU map kernel for `slice`.
+/// Builds the timed GPU map kernel for `slice` (payload as above).
 template <typename K, typename V>
-simdev::KernelDesc make_gpu_map_kernel(const JobState<K, V>& st,
+simdev::KernelDesc make_gpu_map_kernel(JobState<K, V>& st,
                                        NodeMapBatch<K, V>& batch,
                                        InputSlice slice) {
   const auto& spec = *st.spec;
@@ -149,8 +256,10 @@ simdev::KernelDesc make_gpu_map_kernel(const JobState<K, V>& st,
                        ? spec.gpu_map_or_default()
                        : spec.modeled_map;
   if (fn) {
-    k.body = [fn, slice, emitter, b] {
-      fn(slice, *emitter);
+    auto* pending = &st.pending_maps;
+    auto* p = pending->add(fn, slice, *emitter);
+    k.body = [pending, p, emitter, b] {
+      pending->complete(*p);
       b->gpu_pairs += emitter->size();
     };
   }

@@ -1,5 +1,6 @@
 #include "exec/prefault.hpp"
 
+#include <atomic>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
@@ -30,14 +31,16 @@ class PrefaultJob : public detail::ParallelJob {
       if (e.end > e.begin) {
         sink = static_cast<unsigned char>(sink + p[e.end - 1]);
       }
-      sink_ = sink;  // volatile reads cannot be elided; keep sink anyway
+      // Volatile reads cannot be elided; keep the sink anyway. Every lane
+      // stores it, so the store is atomic.
+      sink_.store(sink, std::memory_order_relaxed);
     }
   }
 
  private:
   const unsigned char* base_;
   std::vector<numa::PrefaultExtent> plan_;
-  volatile unsigned char sink_ = 0;
+  std::atomic<unsigned char> sink_{0};
 };
 
 }  // namespace

@@ -11,11 +11,9 @@
 // typically already written by the caller, so their pages already live
 // wherever the writing thread ran — walking them from the owning lane
 // then warms that socket's caches and TLBs, it does not migrate pages.
-// True first-touch applies to memory whose pages are still unmapped when
-// the plan runs; the per-lane kv-stores get exactly that for free, because
-// each store grows inside its owner lane (numa/kv_store.hpp). The plan
-// itself (which lane touches which extent, on which socket) is pure data
-// and is what tests/numa_test.cpp asserts.
+// True first-touch applies only to memory whose pages are still unmapped
+// when the plan runs. The plan itself (which lane touches which extent, on
+// which socket) is pure data and is what tests/numa_test.cpp asserts.
 //
 // Determinism: touching memory computes nothing — PRS_NUMA on/off and any
 // topology produce byte-identical job results (swept in tests).

@@ -122,9 +122,7 @@ class ThreadPool {
 
   /// The calling thread's lane index: 0 for the submitting thread (and any
   /// thread outside the pool), 1..threads-1 for workers. Stable for the
-  /// lifetime of a worker and across nested regions (they run inline), so
-  /// per-lane data structures — numa::LaneKvStore — can be indexed by it:
-  /// distinct concurrent threads always report distinct lanes.
+  /// lifetime of a worker and across nested regions (they run inline).
   static int current_lane();
 
   /// Resolves the default thread count: PRS_HOST_THREADS if set and valid,

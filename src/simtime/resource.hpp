@@ -9,6 +9,7 @@
 
 #include <coroutine>
 #include <deque>
+#include <memory>
 
 #include "common/error.hpp"
 #include "simtime/simulator.hpp"
@@ -24,6 +25,11 @@ class Resource {
   }
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
+  /// A resource may be destroyed while a suspended process still holds a
+  /// ResourceGuard on it (a job aborted mid-run leaves its device tasks
+  /// suspended until the Simulator destroys them). Those guards see the
+  /// shared `alive` flag drop and release nothing.
+  ~Resource() { *alive_ = false; }
 
   std::size_t capacity() const { return capacity_; }
   std::size_t available() const { return available_; }
@@ -81,30 +87,34 @@ class Resource {
     }
   }
 
+  friend class ResourceGuard;
+
   Simulator& sim_;
   std::size_t capacity_;
   std::size_t available_;
   std::deque<Waiter> waiters_;
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 /// RAII guard for Resource units (release on scope exit).
 class ResourceGuard {
  public:
   ResourceGuard(Resource& res, std::size_t amount)
-      : res_(&res), amount_(amount) {}
+      : res_(&res), alive_(res.alive_), amount_(amount) {}
   ResourceGuard(ResourceGuard&& o) noexcept
-      : res_(o.res_), amount_(o.amount_) {
+      : res_(o.res_), alive_(std::move(o.alive_)), amount_(o.amount_) {
     o.res_ = nullptr;
   }
   ResourceGuard(const ResourceGuard&) = delete;
   ResourceGuard& operator=(const ResourceGuard&) = delete;
   ResourceGuard& operator=(ResourceGuard&&) = delete;
   ~ResourceGuard() {
-    if (res_) res_->release(amount_);
+    if (res_ != nullptr && *alive_) res_->release(amount_);
   }
 
  private:
   Resource* res_;
+  std::shared_ptr<bool> alive_;
   std::size_t amount_;
 };
 

@@ -119,6 +119,35 @@ TEST(CkptCodec, MatrixRoundTripsAndBadDimsThrow) {
   EXPECT_THROW(get_matrix(rb, out), Error);
 }
 
+TEST(CkptCodec, BulkMatrixBodyIsTheScalarEncoding) {
+  // put_matrix copies the body in bulk; the wire bytes must stay those of
+  // one f64() per element, awkward values included.
+  linalg::MatrixD m(2, 3, 0.0);
+  const double vals[] = {-0.0, 1.0 / 3.0, 5e-324, -1e308, 42.0, 0.1};
+  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = vals[i];
+  Writer bulk;
+  put_matrix(bulk, m);
+  Writer scalar;
+  scalar.u64(m.rows());
+  scalar.u64(m.cols());
+  for (std::size_t i = 0; i < m.size(); ++i) scalar.f64(m.data()[i]);
+  EXPECT_EQ(bulk.bytes(), scalar.bytes());
+}
+
+TEST(CkptCodec, HostileMatrixHeaderThrowsBeforeAllocating) {
+  // Both dimensions pass the per-dimension cap, but 50000 x 50000 doubles
+  // (20 GB) cannot come from a 16-byte body: reject, don't allocate.
+  Writer w;
+  w.u64(50000);
+  w.u64(50000);
+  w.f64(1.0);
+  w.f64(2.0);
+  Reader r(w.bytes());
+  linalg::MatrixD out;
+  EXPECT_THROW(get_matrix(r, out), Error);
+  EXPECT_EQ(out.size(), 0u);
+}
+
 // -- snapshot framing -------------------------------------------------------
 
 Snapshot sample_snapshot(Rng& rng) {

@@ -3,11 +3,18 @@
 // scheduling modes, backend selection, and the iterative driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "core/iterative.hpp"
 #include "core/job_runner.hpp"
+#include "exec/parallel.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace prs::core {
 namespace {
@@ -322,6 +329,86 @@ TEST(RunJob, FinalizeTransformsValues) {
   EXPECT_EQ(res.output, want);
 }
 
+// -- batched map payloads ------------------------------------------------------
+
+/// Sets the host pool size for one scope, then restores the default.
+struct ScopedPoolSize {
+  explicit ScopedPoolSize(int n) { exec::ThreadPool::instance().configure(n); }
+  ~ScopedPoolSize() { exec::ThreadPool::instance().configure(0); }
+};
+
+/// toy_spec whose payload opens its own pool region, as the apps' kernels
+/// do: run one at a time, every map task would cost a top-level region.
+/// Blocks are modeled long enough that dynamic dispatch keeps every
+/// device busy at once, as it does on real inputs.
+MapReduceSpec<int, long> pooled_toy_spec() {
+  auto spec = toy_spec();
+  spec.cpu_flops_per_item = 1e6;
+  spec.gpu_flops_per_item = 1e6;
+  spec.cpu_map = [](const InputSlice& s, Emitter<int, long>& e) {
+    std::vector<int> key(s.size());
+    exec::parallel_for(s.begin, s.end, 16, [&](std::size_t b, std::size_t en) {
+      for (std::size_t i = b; i < en; ++i) {
+        key[i - s.begin] = static_cast<int>(i % kKeys);
+      }
+    });
+    long counts[kKeys] = {};
+    for (const int k : key) counts[k]++;
+    for (int k = 0; k < kKeys; ++k) {
+      if (counts[k] > 0) e.emit(k, counts[k]);
+    }
+  };
+  return spec;
+}
+
+TEST(RunJob, MapPayloadsShareFewPoolRegionsAndIgnoreThreadCount) {
+  constexpr std::size_t kItems = 20000;
+  const auto spec = pooled_toy_spec();
+  for (const auto engine : {ExecEngine::kStages, ExecEngine::kGraph}) {
+    for (const auto mode :
+         {SchedulingMode::kStatic, SchedulingMode::kDynamic}) {
+      JobResult<int, long> at_one;
+      for (const int threads : {1, 4}) {
+        ScopedPoolSize pool(threads);
+        sim::Simulator simu;
+        Cluster cluster(simu, 2, NodeConfig{});
+        JobConfig cfg;
+        cfg.engine = engine;
+        cfg.scheduling = mode;
+        auto& host = exec::ThreadPool::instance();
+        const auto before = host.stats().jobs;
+        auto res = run_job(cluster, spec, cfg, kItems);
+        const auto regions = host.stats().jobs - before;
+        const std::string where =
+            std::string(engine == ExecEngine::kGraph ? "graph" : "stages") +
+            (mode == SchedulingMode::kDynamic ? "/dynamic" : "/static") +
+            " threads=" + std::to_string(threads);
+        EXPECT_EQ(res.output, expected_counts(kItems)) << where;
+        // Unbatched, every payload opened its own region. Static dispatch
+        // hands every block out before the first completes, so the job is
+        // one batch: the four GPU-share blocks (one per node and
+        // partition, far above the mean) run alone, then one payload, then
+        // the rest in one region. Dynamic dispatch hands blocks out one by
+        // one and the fast GPU streams finish them nearly one by one, so
+        // its batches only span one wave of devices.
+        ASSERT_GT(res.stats.map_tasks, 40u) << where;
+        if (mode == SchedulingMode::kStatic) {
+          EXPECT_LE(regions, 6u) << where;
+        } else {
+          EXPECT_LT(regions, res.stats.map_tasks) << where;
+        }
+        if (threads == 1) {
+          at_one = res;
+        } else {
+          EXPECT_EQ(res.output, at_one.output) << where;
+          EXPECT_EQ(res.stats.elapsed, at_one.stats.elapsed) << where;
+          EXPECT_EQ(res.stats.map_tasks, at_one.stats.map_tasks) << where;
+        }
+      }
+    }
+  }
+}
+
 // -- iterative driver -----------------------------------------------------------
 
 TEST(Iterative, RunsRequestedIterationsAndStops) {
@@ -398,6 +485,42 @@ TEST(Iterative, StartupChargedOnlyOnFirstIteration) {
   // If startup were charged per iteration, t2 >= 2 * t1. It must be well
   // below that (startup dominates a tiny job).
   EXPECT_LT(t2, 1.5 * t1);
+}
+
+TEST(Iterative, PipelinedWindowRunsNextPayloadsOnlyAfterTheAdvance) {
+  // At pipeline depth 2 (graph engine, static policy) two iterations share
+  // one task graph, chained through iteration j's advance node, which runs
+  // on_iteration. Iteration j+1's payloads read the state it updates, so
+  // none may run earlier — even with four host threads running batches.
+  ScopedPoolSize pool(4);
+  sim::Simulator simu;
+  Cluster cluster(simu, 2, NodeConfig{});
+  auto version = std::make_shared<std::atomic<long>>(0);
+  auto spec = toy_spec(500.0, /*cached=*/true);
+  // Key 0 carries the largest version any payload saw, key 1 minus the
+  // smallest.
+  spec.cpu_map = [version](const InputSlice&, Emitter<int, long>& e) {
+    const long v = version->load();
+    e.emit(0, v);
+    e.emit(1, -v);
+  };
+  spec.combine = [](const long& a, const long& b) { return std::max(a, b); };
+  JobConfig cfg;
+  cfg.engine = ExecEngine::kGraph;
+  cfg.pipeline_depth = 2;
+  int seen = 0;
+  auto res = run_iterative<int, long>(
+      cluster, spec, cfg, 4000, 6,
+      [&](int iter, const std::map<int, long>& out) {
+        EXPECT_EQ(out.at(0), iter) << "a payload ran after its advance";
+        EXPECT_EQ(-out.at(1), iter) << "a payload ran before the advance";
+        version->store(iter + 1);
+        ++seen;
+        return true;
+      },
+      /*state_bytes=*/1024.0);
+  EXPECT_EQ(res.iterations, 6);
+  EXPECT_EQ(seen, 6);
 }
 
 }  // namespace

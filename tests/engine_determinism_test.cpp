@@ -4,7 +4,8 @@
 // the schedule itself is the legacy timeline) AND at depths 2/4 (where
 // per-block D2H overlap and pipelined iteration windows change the
 // *timing* but may not change a single result byte) — across host-pool
-// thread counts.
+// thread counts. A second sweep checks the dynamic policy, whose block
+// hand-out is time-driven, across thread counts too.
 //
 // Digests come from svc::run_job_spec, the same canonical FNV-1a result
 // digest prs_run and the job server print, so any regression caught here
@@ -56,11 +57,13 @@ svc::JobSpec app_spec(const std::string& app) {
 }
 
 std::string run_digest(const std::string& app, const std::string& engine,
-                       int depth, int threads) {
+                       int depth, int threads,
+                       const std::string& policy_name = "static") {
   exec::ThreadPool::instance().configure(threads);
   svc::JobSpec spec = app_spec(app);
   spec.engine = engine;
   spec.pipeline_depth = depth;
+  spec.policy = policy_name;
   spec.validate();
   sim::Simulator simu;
   const core::NodeConfig node = spec.node_config();
@@ -99,6 +102,16 @@ TEST_P(EngineDeterminism, GraphMatchesStagesAcrossDepthsAndThreads) {
   // The legacy engine itself is thread-count invariant too.
   EXPECT_EQ(run_digest(app, "stages", 1, 3), reference)
       << app << " legacy engine diverged at threads=3";
+}
+
+TEST_P(EngineDeterminism, DynamicPolicyIgnoresThreadCount) {
+  // Job specs pair the dynamic policy with the stage runner only (the
+  // graph engine needs static dispatch).
+  const std::string app = GetParam();
+  const std::string at_one = run_digest(app, "stages", 1, 1, "dynamic");
+  EXPECT_EQ(run_digest(app, "stages", 1, 4, "dynamic"), at_one)
+      << app << " dynamic digest depends on thread count";
+  exec::ThreadPool::instance().configure(0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, EngineDeterminism,

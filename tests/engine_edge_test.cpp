@@ -4,11 +4,13 @@
 // collectives on disjoint tags, and congestion timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/job_runner.hpp"
+#include "exec/thread_pool.hpp"
 #include "simnet/fabric.hpp"
 #include "simtime/channel.hpp"
 #include "simtime/future.hpp"
@@ -339,6 +341,64 @@ TEST(GraphEngineEdge, GraphMatchesStagesOutput) {
   const auto graph = run_with(ExecEngine::kGraph);
   EXPECT_EQ(stages.output, graph.output);
   EXPECT_DOUBLE_EQ(stages.stats.elapsed, graph.stats.elapsed);
+}
+
+TEST(StageRunnerEdge, MapClosureThrowSurfacesAtItsOwnBlockCompletion) {
+  // The runner runs a job's pending map payloads together at the first
+  // completion that needs one, but a payload's exception must still
+  // surface at its own block's completion — not at the completion that
+  // happened to run it. One node with one CPU core and no GPU completes
+  // the blocks one after another, so a later block fails later.
+  NodeConfig node;
+  node.reserved_cpu_cores = 1;
+  JobConfig cfg;
+  cfg.use_gpu = false;
+  constexpr std::size_t kItems = 4096;
+
+  // Fault-free reference: the job's total time and its blocks.
+  double t_clean = 0.0;
+  std::vector<std::size_t> begins;
+  {
+    sim::Simulator simu;
+    Cluster cluster(simu, 1, node);
+    auto spec = counting_spec(false);
+    spec.cpu_map = [&begins, inner = spec.cpu_map](const InputSlice& s,
+                                                   Emitter<int, int>& e) {
+      begins.push_back(s.begin);  // one host thread: no lock needed
+      inner(s, e);
+    };
+    exec::ThreadPool::instance().configure(1);
+    t_clean = run_job(cluster, spec, cfg, kItems).stats.elapsed;
+    exec::ThreadPool::instance().configure(0);
+  }
+  std::sort(begins.begin(), begins.end());
+  ASSERT_GE(begins.size(), 3u);
+
+  std::vector<double> failed_at;
+  for (std::size_t k = 0; k < 3; ++k) {
+    const std::size_t poisoned = begins[k];
+    auto spec = counting_spec(false);
+    spec.cpu_map = [poisoned, inner = spec.cpu_map](const InputSlice& s,
+                                                    Emitter<int, int>& e) {
+      if (s.begin == poisoned) throw std::runtime_error("poisoned block");
+      inner(s, e);
+    };
+    sim::Simulator simu;
+    Cluster cluster(simu, 1, node);
+    try {
+      run_job(cluster, spec, cfg, kItems);
+      FAIL() << "expected block " << k << " to surface its error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("poisoned block"),
+                std::string::npos);
+    }
+    failed_at.push_back(simu.now());
+  }
+  // Block 0's completion ran blocks 1 and 2 too; their errors still wait
+  // for their own completions, before the job's map barrier.
+  EXPECT_LT(failed_at[0], failed_at[1]);
+  EXPECT_LT(failed_at[1], failed_at[2]);
+  EXPECT_LT(failed_at[2], t_clean);
 }
 
 }  // namespace

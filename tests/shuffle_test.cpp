@@ -1,14 +1,16 @@
-// Per-lane shuffle kv-store (src/numa/kv_store): property tests against a
-// std::map oracle, grow/rehash edge cases, and the determinism argument —
-// a fixed lane-order merge of any distribution of the input equals the
-// single-lane result bit-for-bit. Plus the two wordcount tokenizers
-// (istringstream reference vs the allocation-free fast path) agreeing on
-// whitespace-rich corpora, which is what keeps the NUMA shuffle path
-// byte-identical to the reduce path.
-#include <cstdint>
-#include <cstring>
+// Wordcount's shuffle input: the one map path (a per-task open-addressing
+// count whose keys view the corpus lines, drained in key order) checked
+// end to end against the istringstream/std::map oracle, wordcount_serial.
+// Corpora target the tokenizer (every C-locale whitespace separator), the
+// key storage (words far longer than any small-string buffer) and the
+// table's growth (more distinct words per map block than its initial
+// slots), at several host-pool sizes — the runner executes a job's map
+// payloads side by side on the pool, so each size schedules them
+// differently while the bytes must not move.
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -17,132 +19,19 @@
 #include "apps/wordcount.hpp"
 #include "common/rng.hpp"
 #include "exec/thread_pool.hpp"
-#include "numa/kv_store.hpp"
 #include "numa/topology.hpp"
 
 namespace {
 
 using namespace prs;
 
-struct NumaGuard {
-  ~NumaGuard() {
+struct PoolGuard {
+  ~PoolGuard() {
     numa::clear_enabled_override();
     numa::clear_topology_override();
     exec::ThreadPool::instance().configure(0);
   }
 };
-
-/// Serializes a merged map to bytes; memcmp equality below is the
-/// "bit-for-bit" claim, not just logical map equality.
-std::vector<unsigned char> serialize(const std::map<std::string, long>& m) {
-  std::vector<unsigned char> out;
-  for (const auto& [k, v] : m) {
-    out.insert(out.end(), k.begin(), k.end());
-    out.push_back('\0');
-    const auto* vb = reinterpret_cast<const unsigned char*>(&v);
-    out.insert(out.end(), vb, vb + sizeof(v));
-  }
-  return out;
-}
-
-std::map<std::string, long> store_as_map(const numa::LaneKvStore& s) {
-  std::map<std::string, long> out;
-  s.for_each([&](const std::string& k, long v) { out[k] += v; });
-  return out;
-}
-
-TEST(LaneKvStore, BasicAddAndAccumulate) {
-  numa::LaneKvStore s;
-  s.add("alpha", 1);
-  s.add("beta", 2);
-  s.add("alpha", 3);
-  EXPECT_EQ(s.size(), 2u);
-  const auto m = store_as_map(s);
-  EXPECT_EQ(m.at("alpha"), 4);
-  EXPECT_EQ(m.at("beta"), 2);
-}
-
-TEST(LaneKvStore, HandlesEmptyAndBinaryKeys) {
-  numa::LaneKvStore s(8);
-  s.add("", 7);
-  s.add(std::string_view("\0\x01", 2), 1);
-  s.add(std::string_view("\0\x02", 2), 1);
-  s.add("", 3);
-  const auto m = store_as_map(s);
-  EXPECT_EQ(m.at(""), 10);
-  EXPECT_EQ(m.size(), 3u);
-}
-
-TEST(LaneKvStore, GrowsFromMinimumCapacityAndKeepsEverything) {
-  numa::LaneKvStore s(1);  // rounds up to the 8-slot minimum
-  EXPECT_EQ(s.capacity(), 8u);
-  std::map<std::string, long> oracle;
-  for (int i = 0; i < 5000; ++i) {
-    const std::string key = "k" + std::to_string(i % 1250);
-    s.add(key, i);
-    oracle[key] += i;
-  }
-  EXPECT_GT(s.grow_count(), 5u);  // 8 -> beyond 1250*10/7 slots
-  EXPECT_EQ(s.size(), 1250u);
-  // Power-of-two capacity below the 70% load ceiling.
-  EXPECT_EQ(s.capacity() & (s.capacity() - 1), 0u);
-  EXPECT_GT(s.capacity() * 7, s.size() * 10);
-  EXPECT_EQ(store_as_map(s), oracle);
-}
-
-TEST(LaneKvStore, RandomCorporaMatchMapOracle) {
-  Rng rng(1234);
-  for (int round = 0; round < 20; ++round) {
-    numa::LaneKvStore s(8);
-    std::map<std::string, long> oracle;
-    const int n = 200 + static_cast<int>(rng.uniform() * 3000);
-    for (int i = 0; i < n; ++i) {
-      // Short keys from a small alphabet: dense collisions + rehash churn.
-      const int len = static_cast<int>(rng.uniform() * 6);
-      std::string key;
-      for (int c = 0; c < len; ++c) {
-        key += static_cast<char>('a' + static_cast<int>(rng.uniform() * 4));
-      }
-      const long delta = static_cast<long>(rng.uniform() * 100) - 50;
-      s.add(key, delta);
-      oracle[key] += delta;
-    }
-    ASSERT_EQ(store_as_map(s), oracle) << "round " << round;
-  }
-}
-
-TEST(LaneKvStore, FixedOrderMergeEqualsSingleLaneBitForBit) {
-  Rng rng(99);
-  // One corpus of (word, count) increments...
-  std::vector<std::pair<std::string, long>> events;
-  for (int i = 0; i < 8000; ++i) {
-    events.emplace_back(
-        "w" + std::to_string(static_cast<int>(rng.uniform() * 900)), 1);
-  }
-  // ...counted in a single lane (the reference)...
-  std::vector<numa::LaneKvStore> single(1);
-  for (const auto& [w, c] : events) single[0].add(w, c);
-  const auto ref = serialize(numa::merge_lane_stores(single));
-
-  // ...must merge bit-for-bit from ANY distribution over any lane count.
-  for (int lanes : {2, 3, 7, 16}) {
-    std::vector<numa::LaneKvStore> stores(static_cast<std::size_t>(lanes));
-    std::size_t i = 0;
-    for (const auto& [w, c] : events) {
-      // Adversarial distribution: round-robin + random jumps.
-      const auto lane =
-          (i++ + static_cast<std::size_t>(rng.uniform() * lanes)) %
-          static_cast<std::size_t>(lanes);
-      stores[lane].add(w, c);
-    }
-    const auto got = serialize(numa::merge_lane_stores(stores));
-    ASSERT_EQ(got.size(), ref.size()) << "lanes=" << lanes;
-    ASSERT_EQ(std::memcmp(got.data(), ref.data(), ref.size()), 0)
-        << "lanes=" << lanes;
-  }
-}
-
-// -- tokenizer equivalence through the app -----------------------------------
 
 /// Corpus with every C-locale whitespace separator, empty lines, leading/
 /// trailing runs — the shapes where a hand-rolled tokenizer diverges from
@@ -161,8 +50,114 @@ apps::Corpus nasty_corpus() {
   };
 }
 
+/// Words of 20-300 bytes (heap-allocated keys once emitted), some shared
+/// prefixes so ordering compares past the first bytes.
+apps::Corpus long_word_corpus() {
+  Rng rng(77);
+  apps::Corpus corpus;
+  for (int line = 0; line < 400; ++line) {
+    std::string text;
+    for (int w = 0; w < 6; ++w) {
+      const auto len = 20 + rng.uniform_index(280);
+      const auto id = rng.uniform_index(60);
+      std::string word(len, static_cast<char>('a' + id % 26));
+      word += std::to_string(id);
+      if (w > 0) text += ' ';
+      text += word;
+    }
+    corpus.push_back(std::move(text));
+  }
+  return corpus;
+}
+
+/// 2000 lines of 20 words over 200000 ids: nearly every word of a map
+/// block is distinct.
+apps::Corpus many_distinct_corpus() {
+  Rng rng(78);
+  apps::Corpus corpus;
+  for (int line = 0; line < 2000; ++line) {
+    std::string text;
+    for (int w = 0; w < 20; ++w) {
+      if (w > 0) text += ' ';
+      text += "w" + std::to_string(rng.uniform_index(200000));
+    }
+    corpus.push_back(std::move(text));
+  }
+  return corpus;
+}
+
+void expect_prs_matches_serial(const apps::Corpus& corpus_in,
+                               const char* what, int nodes = 2,
+                               core::JobConfig cfg = {}) {
+  PoolGuard guard;
+  auto corpus = std::make_shared<const apps::Corpus>(corpus_in);
+  const auto want = apps::wordcount_serial(*corpus);
+  for (const int threads : {1, 2, 4}) {
+    exec::ThreadPool::instance().configure(threads);
+    for (const auto mode :
+         {core::SchedulingMode::kStatic, core::SchedulingMode::kDynamic}) {
+      sim::Simulator simu;
+      core::Cluster cluster(simu, nodes, core::NodeConfig{});
+      cfg.scheduling = mode;
+      EXPECT_EQ(apps::wordcount_prs(cluster, corpus, cfg), want)
+          << what << " threads=" << threads
+          << " dynamic=" << (mode == core::SchedulingMode::kDynamic);
+    }
+  }
+}
+
+/// The fewest pairs (distinct words) any map task of one static
+/// wordcount job emits.
+std::size_t fewest_pairs_per_task(const apps::Corpus& corpus_in, int nodes,
+                                  const core::JobConfig& cfg) {
+  auto corpus = std::make_shared<const apps::Corpus>(corpus_in);
+  auto spec = apps::wordcount_spec(corpus);
+  auto fewest = std::make_shared<std::size_t>(corpus->size() * 1000);
+  auto mu = std::make_shared<std::mutex>();
+  spec.cpu_map = [inner = spec.cpu_map, fewest, mu](
+                     const core::InputSlice& s,
+                     core::Emitter<std::string, long>& e) {
+    inner(s, e);
+    std::lock_guard<std::mutex> lock(*mu);
+    *fewest = std::min(*fewest, e.size());
+  };
+  spec.gpu_map = spec.cpu_map;
+  sim::Simulator simu;
+  core::Cluster cluster(simu, nodes, core::NodeConfig{});
+  core::run_job(cluster, spec, cfg, corpus->size());
+  return *fewest;
+}
+
+TEST(WordcountOracle, NastyWhitespaceMatchesSerialAtAnyThreadCount) {
+  apps::Corpus corpus = nasty_corpus();
+  // NUL and high bytes are not whitespace: they stay inside words.
+  static constexpr char kBinary[] = "nul\0inside \xff\xfe bytes";
+  corpus.emplace_back(kBinary, sizeof(kBinary) - 1);
+  expect_prs_matches_serial(corpus, "nasty whitespace");
+}
+
+TEST(WordcountOracle, LongWordsMatchSerialAtAnyThreadCount) {
+  expect_prs_matches_serial(long_word_corpus(), "long words");
+}
+
+TEST(WordcountOracle, ManyDistinctWordsPerBlockMatchSerialAtAnyThreadCount) {
+  // One node, CPU only, one block per core: blocks big enough that every
+  // map task counts more distinct words than the count table's initial
+  // 1024 slots, so each one grows its table.
+  const apps::Corpus corpus = many_distinct_corpus();
+  core::JobConfig cfg;
+  cfg.use_gpu = false;
+  cfg.cpu_block_multiplier = 1;
+  ASSERT_GT(fewest_pairs_per_task(corpus, 1, cfg), 1024u);
+  expect_prs_matches_serial(corpus, "many distinct words", 1, cfg);
+}
+
+// -- NUMA mode no longer changes the path ------------------------------------
+
 TEST(WordcountShuffle, PerLaneAndReducePathsAgreeOnNastyWhitespace) {
-  NumaGuard guard;
+  // NUMA on and off once chose different map paths; both modes now run the
+  // one path and must still reproduce the oracle.
+  PoolGuard guard;
   exec::ThreadPool::instance().configure(4);
   numa::set_topology(numa::Topology::uniform(2, 2));
   auto corpus = std::make_shared<const apps::Corpus>(nasty_corpus());
@@ -178,19 +173,21 @@ TEST(WordcountShuffle, PerLaneAndReducePathsAgreeOnNastyWhitespace) {
   };
 
   numa::set_enabled(false);
-  EXPECT_EQ(run_map(), serial);  // reduce path (istringstream tokenizer)
+  EXPECT_EQ(run_map(), serial);
   numa::set_enabled(true);
-  EXPECT_EQ(run_map(), serial);  // per-lane path (fast tokenizer)
+  EXPECT_EQ(run_map(), serial);
 }
 
 TEST(WordcountShuffle, RandomCorporaAgreeAcrossPathsAndThreadCounts) {
-  NumaGuard guard;
+  PoolGuard guard;
   auto& pool = exec::ThreadPool::instance();
   Rng rng(5);
   auto corpus = std::make_shared<const apps::Corpus>(
       apps::generate_corpus(rng, 500, 10, 300));
   const auto serial = apps::wordcount_serial(*corpus);
-  const auto ref = serialize(serial);
+  // One pair per distinct word, emitted in key order.
+  const std::vector<std::pair<std::string, long>> want(serial.begin(),
+                                                       serial.end());
 
   for (int threads : {1, 3, 6}) {
     pool.configure(threads);
@@ -199,10 +196,7 @@ TEST(WordcountShuffle, RandomCorporaAgreeAcrossPathsAndThreadCounts) {
       auto spec = apps::wordcount_spec(corpus);
       core::Emitter<std::string, long> em;
       spec.cpu_map(core::InputSlice{0, corpus->size()}, em);
-      std::map<std::string, long> out;
-      for (const auto& [w, c] : em.pairs()) out[w] += c;
-      const auto got = serialize(out);
-      ASSERT_EQ(got, ref) << "threads=" << threads << " numa=" << on;
+      ASSERT_EQ(em.pairs(), want) << "threads=" << threads << " numa=" << on;
     }
   }
 }

@@ -489,6 +489,30 @@ TEST(Resource, AvailableTracksGrants) {
   EXPECT_EQ(res.available(), 3u);
 }
 
+Process guard_resource(Simulator& sim, Resource& res, bool& released) {
+  co_await res.acquire();
+  ResourceGuard core(res, 1);
+  co_await delay(sim, 10.0);
+  released = true;  // never reached: the frame is destroyed mid-delay
+}
+
+TEST(Resource, GuardHeldPastTheResourceReleasesNothing) {
+  // A job aborted mid-run leaves device tasks suspended while holding a
+  // core; the cluster (and its resources) goes before the Simulator
+  // destroys those frames. The guards must not touch the freed resource
+  // (the sanitizer legs catch it if they do).
+  bool released = false;
+  {
+    Simulator sim;
+    auto res = std::make_unique<Resource>(sim, 1);
+    sim.spawn(guard_resource(sim, *res, released));
+    sim.run_until(1.0);
+    EXPECT_EQ(res->available(), 0u);
+    res.reset();
+  }
+  EXPECT_FALSE(released);
+}
+
 // -- bandwidth links ----------------------------------------------------------
 
 Process do_transfer(Simulator& sim, BandwidthLink& link, double bytes,
