@@ -122,20 +122,25 @@ std::vector<int> hard_assignment(const linalg::MatrixD& points,
   const simd::Kernels& kn = simd::active_kernels();
   std::vector<double> ct;
   simd::pack_transposed(centers.row(0), m, d, ct);
-  std::vector<double> dist2(m);
   std::vector<int> out(points.rows());
-  for (std::size_t i = 0; i < points.rows(); ++i) {
-    kn.dist2_block(points.row(i), ct.data(), m, d, dist2.data());
-    double best = std::numeric_limits<double>::infinity();
-    int arg = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (dist2[j] < best) {
-        best = dist2[j];
-        arg = static_cast<int>(j);
-      }
-    }
-    out[i] = arg;
-  }
+  // Each point writes only its own slot: the same bytes at any thread
+  // count.
+  exec::parallel_for(
+      0, points.rows(), kMapGrain, [&](std::size_t b, std::size_t e) {
+        std::vector<double> dist2(m);
+        for (std::size_t i = b; i < e; ++i) {
+          kn.dist2_block(points.row(i), ct.data(), m, d, dist2.data());
+          double best = std::numeric_limits<double>::infinity();
+          int arg = 0;
+          for (std::size_t j = 0; j < m; ++j) {
+            if (dist2[j] < best) {
+              best = dist2[j];
+              arg = static_cast<int>(j);
+            }
+          }
+          out[i] = arg;
+        }
+      });
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "apps/dgemm.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "core/calibration.hpp"
 #include "exec/parallel.hpp"
@@ -100,13 +102,12 @@ linalg::MatrixD dgemm_prs(core::Cluster& cluster, const linalg::MatrixD& a,
   if (cfg.mode == core::ExecutionMode::kFunctional) {
     c = linalg::MatrixD(a.rows(), b.cols(), 0.0);
     for (const auto& [start, block] : result.output) {
-      PRS_CHECK(static_cast<std::size_t>(start) + block.rows() <= c.rows(),
+      const auto row = static_cast<std::size_t>(start);
+      PRS_CHECK(row + block.rows() <= c.rows() && block.cols() == c.cols(),
                 "block out of range");
-      for (std::size_t r = 0; r < block.rows(); ++r) {
-        for (std::size_t col = 0; col < block.cols(); ++col) {
-          c(static_cast<std::size_t>(start) + r, col) = block(r, col);
-        }
-      }
+      // A block's rows are contiguous in row-major C.
+      std::copy(block.data(), block.data() + block.size(),
+                c.data() + row * c.cols());
     }
   }
   return c;

@@ -35,6 +35,21 @@ int nearest_center(std::span<const double> x, const linalg::MatrixD& centers,
   return arg;
 }
 
+/// Nearest center of every point. Each point writes only its own slot:
+/// the same bytes at any thread count.
+std::vector<int> assign_to_nearest(const linalg::MatrixD& points,
+                                   const linalg::MatrixD& centers) {
+  std::vector<int> out(points.rows());
+  exec::parallel_for(
+      0, points.rows(), kMapGrain, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) {
+          double d2 = 0.0;
+          out[i] = nearest_center({points.row(i), points.cols()}, centers, d2);
+        }
+      });
+  return out;
+}
+
 /// Serial per-chunk body: accumulates [begin, end) into zero-initialized
 /// per-cluster partials [sum x (D), count, inertia].
 void accumulate_range(const linalg::MatrixD& points,
@@ -140,12 +155,7 @@ KmeansResult kmeans_serial(const linalg::MatrixD& points,
     res.iterations = iter + 1;
     if (move < params.epsilon) break;
   }
-  res.assignment.resize(points.rows());
-  for (std::size_t i = 0; i < points.rows(); ++i) {
-    double d2 = 0.0;
-    res.assignment[i] =
-        nearest_center({points.row(i), points.cols()}, res.centers, d2);
-  }
+  res.assignment = assign_to_nearest(points, res.centers);
   return res;
 }
 
@@ -259,12 +269,7 @@ KmeansResult kmeans_prs(core::Cluster& cluster, const linalg::MatrixD& points,
 
   res.centers = state->centers;
   if (cfg.mode == core::ExecutionMode::kFunctional) {
-    res.assignment.resize(points.rows());
-    for (std::size_t i = 0; i < points.rows(); ++i) {
-      double d2 = 0.0;
-      res.assignment[i] =
-          nearest_center({points.row(i), d}, res.centers, d2);
-    }
+    res.assignment = assign_to_nearest(points, res.centers);
   } else {
     res.iterations = iterative.iterations;
   }

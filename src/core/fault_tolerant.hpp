@@ -317,51 +317,6 @@ sim::Process ft_recv_pump(std::shared_ptr<FtNodeState<K, V>> ns, int src,
   ns->events->send(ev);
 }
 
-/// ShuffleStage::prepare over the alive set: keys hash onto alive ranks
-/// only, so a blacklisted node is never chosen as a reduce destination.
-/// Returns one message per alive-set position.
-template <typename K, typename V>
-std::vector<simnet::Message> ft_prepare_outbound(
-    std::shared_ptr<FtNodeState<K, V>> ns, NodeMapBatch<K, V>& batch) {
-  auto& st = *ns->st;
-  const auto& spec = ns->ctx.spec();
-  const std::size_t m = ns->alive.size();
-  std::vector<std::vector<std::pair<K, V>>> buckets(m);
-  if (spec.local_combine) {
-    std::map<K, V> combined;
-    for (auto& e : batch.emitters) {
-      st.intermediate_pairs += e.size();
-      combine_into(spec, combined, e.pairs());
-    }
-    for (auto& [k, v] : combined) {
-      buckets[std::hash<K>{}(k) % m].emplace_back(k, std::move(v));
-    }
-  } else {
-    for (auto& e : batch.emitters) {
-      st.intermediate_pairs += e.size();
-      for (auto& [k, v] : e.pairs()) {
-        buckets[std::hash<K>{}(k) % m].emplace_back(std::move(k),
-                                                    std::move(v));
-      }
-    }
-  }
-  std::vector<simnet::Message> outbound;
-  outbound.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    auto payload = std::make_shared<std::vector<std::pair<K, V>>>(
-        std::move(buckets[i]));
-    const double bytes =
-        static_cast<double>(payload->size()) * spec.pair_bytes;
-    outbound.emplace_back(bytes, std::move(payload));
-  }
-  if (ns->ctx.tr != nullptr) {
-    auto& h = ns->ctx.tr->metrics().histogram(
-        "shuffle.msg_bytes", obs::geometric_buckets(64.0, 4.0, 16));
-    for (const auto& msg : outbound) h.observe(msg.bytes);
-  }
-  return outbound;
-}
-
 /// ReduceStage::submit_device_tasks plus a modeled-duration estimate for
 /// the reduce deadline (sum over submitted pieces — a safe over-estimate).
 template <typename K, typename V>
@@ -649,7 +604,10 @@ sim::Process ft_node_main(Cluster& cluster,
   }
 
   // -- local combine + shuffle over the alive set -----------------------------
-  auto outbound = ft_prepare_outbound(ns, batch);
+  // Keys hash onto alive-set positions only, so a blacklisted node is never
+  // chosen as a reduce destination.
+  auto outbound =
+      ShuffleStage<K, V>(ns->ctx).prepare(batch, ns->alive.size());
   const double shuffle_t0 = sim.now();
   // Collect inbound buckets keyed by source rank, not in arrival order: the
   // fast path combines the all_to_all result rank-by-rank, and floating-point
@@ -689,17 +647,11 @@ sim::Process ft_node_main(Cluster& cluster,
 
   // -- reduce, with a deadline and a CPU-retiming fallback --------------------
   const double reduce_t0 = sim.now();
-  std::map<K, V> reduced;
+  std::vector<simnet::Message> inbound;
+  for (auto& [src, m] : inbound_by_src) inbound.push_back(std::move(m));
   std::size_t reduce_pairs = 0;
-  {
-    using Payload = std::shared_ptr<std::vector<std::pair<K, V>>>;
-    for (auto& [src, m] : inbound_by_src) {
-      if (!m.has_payload()) continue;
-      auto& pairs = *m.template payload_as<Payload>();
-      reduce_pairs += pairs.size();
-      combine_into(spec, reduced, pairs);
-    }
-  }
+  PairRun<K, V> reduced =
+      ReduceStage<K, V>(ns->ctx).merge(inbound, reduce_pairs);
   for (int round = 0; round < 2; ++round) {
     double est = 0.0;
     std::vector<sim::Future<sim::Unit>> futs;

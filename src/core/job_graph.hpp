@@ -104,7 +104,7 @@ struct GraphRankState {
   std::size_t node_items = 0;
   std::vector<GraphGpuBlock<K, V>> gpu_blocks;
   std::vector<simnet::Message> inbound;
-  std::map<K, V> reduced;
+  PairRun<K, V> reduced;
   std::size_t reduce_pairs = 0;
 };
 
@@ -303,7 +303,8 @@ sim::Process g_shuffle(GraphRankState<K, V>* rs,
                        sim::Promise<sim::Unit> done) {
   auto& sim = rs->ctx.sim();
   auto& comm = rs->ctx.cluster->fabric().comm(rs->ctx.rank);
-  auto outbound = rs->shuffle->prepare(rs->map->batch());
+  auto outbound = rs->shuffle->prepare(
+      rs->map->batch(), static_cast<std::size_t>(rs->ctx.cluster->size()));
   const double t0 = sim.now();
   auto a2a = comm.all_to_all(std::move(outbound),
                              kShuffleTag + rs->tag_base);

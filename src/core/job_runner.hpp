@@ -135,7 +135,8 @@ sim::Process node_main(Cluster& cluster, std::shared_ptr<JobState<K, V>> st,
 
   // -- local combine + shuffle ------------------------------------------------
   ShuffleStage<K, V> shuffle(ctx);
-  auto outbound = shuffle.prepare(map.batch());
+  auto outbound =
+      shuffle.prepare(map.batch(), static_cast<std::size_t>(cluster.size()));
   const double shuffle_t0 = sim.now();
   auto a2a = comm.all_to_all(std::move(outbound), kShuffleTag);
   std::vector<simnet::Message> inbound = co_await a2a;
@@ -145,7 +146,7 @@ sim::Process node_main(Cluster& cluster, std::shared_ptr<JobState<K, V>> st,
   const double reduce_t0 = sim.now();
   ReduceStage<K, V> reduce(ctx);
   std::size_t reduce_pairs = 0;
-  std::map<K, V> reduced = reduce.merge(inbound, reduce_pairs);
+  PairRun<K, V> reduced = reduce.merge(inbound, reduce_pairs);
   auto reduce_futs = reduce.submit_device_tasks(reduce_pairs);
   auto reduces_done = sim::when_all(sim, reduce_futs);
   co_await reduces_done;

@@ -67,7 +67,8 @@ struct MapReduceSpec {
   /// emitting nothing.
   MapFn modeled_map;
   /// Associative + commutative combiner (required): used node-locally
-  /// before the shuffle and as the reduce operator.
+  /// before the shuffle and as the reduce operator. Several host-pool
+  /// workers may call it at once, so it must not write shared state.
   CombineFn combine;
   /// Run the combiner node-locally before the shuffle (the paper's
   /// optional combiner(), Table 1). Disabling it ships every raw emitted

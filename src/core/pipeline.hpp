@@ -12,7 +12,9 @@
 // documented in simtime/process.hpp.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -328,19 +330,134 @@ sim::Process block_dispatcher(sim::Simulator& sim, JobState<K, V>& st,
   blocks.close();
 }
 
-/// Merges emitted pairs into an ordered map with the spec's combiner
-/// (the node-local combine step; also used for the reduce merge).
+/// Key/value pairs in emission order (an emitter's output, one shuffle
+/// message), or a bucket's folded pairs in ascending key order.
 template <typename K, typename V>
-void combine_into(const MapReduceSpec<K, V>& spec, std::map<K, V>& acc,
-                  std::vector<std::pair<K, V>>& pairs) {
-  for (auto& [k, v] : pairs) {
-    auto it = acc.find(k);
-    if (it == acc.end()) {
-      acc.emplace(std::move(k), std::move(v));
-    } else {
-      it->second = spec.combine(it->second, v);
+using PairRun = std::vector<std::pair<K, V>>;
+
+/// Pairs per chunk when finding destinations. A fold of at most this many
+/// pairs runs on the calling thread: a pool region costs more than it
+/// saves there (cmeans' and dgemm's node combines hold at most about 10^3
+/// pairs).
+inline constexpr std::size_t kFoldGrain = 8192;
+
+/// Folds the pairs of `runs` bound for destination `d` (every pair when
+/// `dest` is null) into `out`; see fold_by_destination.
+template <typename K, typename V>
+void fold_destination(const MapReduceSpec<K, V>& spec, bool combine,
+                      const std::vector<PairRun<K, V>*>& runs,
+                      const std::uint32_t* dest, std::size_t d,
+                      PairRun<K, V>& out) {
+  // Open addressing over the keys in `out`: a slot holds 1 + the key's
+  // index there, 0 when empty. The slot comes from the hash's high bits,
+  // since every key here shares the hash's residue modulo `dests`.
+  int bits = 6;
+  std::vector<std::uint32_t> slots(std::size_t{1} << bits);
+  std::vector<std::size_t> hashes;  // per key in `out`
+  const auto slot_of = [&bits](std::size_t h) {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(h) * 0x9E3779B97F4A7C15ull) >>
+        (64 - bits));
+  };
+  std::size_t i = 0;
+  for (PairRun<K, V>* run : runs) {
+    for (auto& kv : *run) {
+      if (dest != nullptr && dest[i++] != d) continue;
+      if (!combine) {
+        out.push_back(std::move(kv));
+        continue;
+      }
+      const std::size_t h = std::hash<K>{}(kv.first);
+      const std::size_t mask = slots.size() - 1;
+      std::size_t s = slot_of(h);
+      while (slots[s] != 0 && !(hashes[slots[s] - 1] == h &&
+                                out[slots[s] - 1].first == kv.first)) {
+        s = (s + 1) & mask;
+      }
+      if (slots[s] != 0) {
+        V& acc = out[slots[s] - 1].second;
+        acc = spec.combine(acc, kv.second);
+        continue;
+      }
+      out.push_back(std::move(kv));
+      hashes.push_back(h);
+      slots[s] = static_cast<std::uint32_t>(out.size());
+      if (2 * out.size() > slots.size()) {
+        ++bits;
+        slots.assign(std::size_t{1} << bits, 0);
+        for (std::size_t k = 0; k < hashes.size(); ++k) {
+          std::size_t t = slot_of(hashes[k]);
+          while (slots[t] != 0) t = (t + 1) & (slots.size() - 1);
+          slots[t] = static_cast<std::uint32_t>(k + 1);
+        }
+      }
     }
   }
+  if (combine) {
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
+}
+
+/// The node-local combine (the paper's optional combiner(), Table 1) and
+/// the reduce merge (DESIGN.md §4f). Every pair of `runs` goes to bucket
+/// std::hash<K>{}(key) % dests. With `combine`, a bucket holds its
+/// distinct keys in ascending order, each with the left fold by
+/// spec.combine of that key's values in emission order (run order, then
+/// pair order): exactly what inserting the runs pair by pair into a
+/// std::map gives, so order-sensitive combiners such as floating-point
+/// sums keep their bits. Without it, a bucket keeps its raw pairs in
+/// emission order. The runs' pairs are moved from. K's operator== must
+/// agree with its operator<; spec.combine runs on pool workers.
+///
+/// Two pool steps: chunks of kFoldGrain pairs write each pair's
+/// destination into a scratch array, then one chunk per destination
+/// folds that destination's pairs. The scratch array is allocated here on
+/// the calling (simulator) thread, like the emitters PendingMaps sizes.
+template <typename K, typename V>
+std::vector<PairRun<K, V>> fold_by_destination(
+    const MapReduceSpec<K, V>& spec, bool combine,
+    const std::vector<PairRun<K, V>*>& runs, std::size_t dests) {
+  PRS_CHECK(dests >= 1 && dests <= UINT32_MAX, "bad destination count");
+  std::vector<std::size_t> start(runs.size() + 1, 0);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    start[r + 1] = start[r] + runs[r]->size();
+  }
+  const std::size_t total = start.back();
+  PRS_CHECK(total < UINT32_MAX, "too many pairs for one fold");
+  const auto for_chunks = [total](std::size_t n, std::size_t grain,
+                                  const auto& body) {
+    if (total > kFoldGrain && n > grain) {
+      exec::parallel_for(0, n, grain, body);
+    } else if (n > 0) {
+      body(0, n);
+    }
+  };
+  std::vector<std::uint32_t> dest(dests > 1 ? total : 0);
+  if (dests > 1) {
+    for_chunks(total, kFoldGrain, [&](std::size_t b, std::size_t e) {
+      auto r = static_cast<std::size_t>(
+          std::upper_bound(start.begin(), start.end(), b) - start.begin() -
+          1);
+      for (std::size_t i = b; i < e; ++i) {
+        while (i >= start[r + 1]) ++r;
+        const K& key = (*runs[r])[i - start[r]].first;
+        dest[i] = static_cast<std::uint32_t>(std::hash<K>{}(key) % dests);
+      }
+    });
+  }
+  std::vector<PairRun<K, V>> buckets(dests);
+  // One destination (the reduce merge) holds at most every pair. Sized
+  // once: regrown on the simulator thread it fragmented the main arena,
+  // and dgemm_bulk's peak RSS rose by a further 30 MB in most runs.
+  if (dests == 1) buckets[0].reserve(total);
+  for_chunks(dests, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t d = b; d < e; ++d) {
+      fold_destination(spec, combine, runs, dests > 1 ? dest.data() : nullptr,
+                       d, buckets[d]);
+    }
+  });
+  return buckets;
 }
 
 // -- map stage ----------------------------------------------------------------
@@ -541,45 +658,30 @@ class MapStage {
 // -- shuffle stage ------------------------------------------------------------
 
 /// Local combine (the paper's optional combiner(), Table 1) followed by
-/// bucketing: pairs with the same key land on hash(key) % nodes.
+/// bucketing: pairs with the same key land on hash(key) % destinations.
 template <typename K, typename V>
 class ShuffleStage {
  public:
   explicit ShuffleStage(StageContext<K, V>& ctx) : ctx_(ctx) {}
 
-  std::vector<simnet::Message> prepare(NodeMapBatch<K, V>& batch) {
+  /// One message per destination: the cluster's ranks, or the tolerant
+  /// path's alive set.
+  std::vector<simnet::Message> prepare(NodeMapBatch<K, V>& batch,
+                                       std::size_t dests) {
     auto& st = *ctx_.st;
     const auto& spec = ctx_.spec();
-    const int nodes = ctx_.cluster->size();
-    std::vector<std::vector<std::pair<K, V>>> buckets(
-        static_cast<std::size_t>(nodes));
-    if (spec.local_combine) {
-      std::map<K, V> combined;
-      for (auto& e : batch.emitters) {
-        st.intermediate_pairs += e.size();
-        combine_into(spec, combined, e.pairs());
-      }
-      for (auto& [k, v] : combined) {
-        const auto dst = std::hash<K>{}(k) % static_cast<std::size_t>(nodes);
-        buckets[dst].emplace_back(k, std::move(v));
-      }
-    } else {
-      // No combiner: every raw emitted pair goes on the wire; the reduce
-      // stage does all the merging.
-      for (auto& e : batch.emitters) {
-        st.intermediate_pairs += e.size();
-        for (auto& [k, v] : e.pairs()) {
-          const auto dst =
-              std::hash<K>{}(k) % static_cast<std::size_t>(nodes);
-          buckets[dst].emplace_back(std::move(k), std::move(v));
-        }
-      }
+    std::vector<PairRun<K, V>*> runs;
+    for (auto& e : batch.emitters) {
+      st.intermediate_pairs += e.size();
+      runs.push_back(&e.pairs());
     }
+    // Without the combiner every raw emitted pair goes on the wire; the
+    // reduce stage does all the merging.
+    auto buckets = fold_by_destination(spec, spec.local_combine, runs, dests);
     std::vector<simnet::Message> outbound;
-    outbound.reserve(static_cast<std::size_t>(nodes));
-    for (int r = 0; r < nodes; ++r) {
-      auto payload = std::make_shared<std::vector<std::pair<K, V>>>(
-          std::move(buckets[static_cast<std::size_t>(r)]));
+    outbound.reserve(dests);
+    for (auto& bucket : buckets) {
+      auto payload = std::make_shared<PairRun<K, V>>(std::move(bucket));
       const double bytes =
           static_cast<double>(payload->size()) * spec.pair_bytes;
       outbound.emplace_back(bytes, std::move(payload));
@@ -615,18 +717,19 @@ class ReduceStage {
  public:
   explicit ReduceStage(StageContext<K, V>& ctx) : ctx_(ctx) {}
 
-  std::map<K, V> merge(std::vector<simnet::Message>& inbound,
-                       std::size_t& reduce_pairs) {
-    using Payload = std::shared_ptr<std::vector<std::pair<K, V>>>;
-    std::map<K, V> reduced;
+  /// Folds the inbound shuffle payloads, in message order, into this
+  /// node's reduced pairs (distinct keys, ascending).
+  PairRun<K, V> merge(std::vector<simnet::Message>& inbound,
+                      std::size_t& reduce_pairs) {
+    using Payload = std::shared_ptr<PairRun<K, V>>;
+    std::vector<PairRun<K, V>*> runs;
     reduce_pairs = 0;
     for (auto& m : inbound) {
       if (!m.has_payload()) continue;
-      auto& pairs = *m.template payload_as<Payload>();
-      reduce_pairs += pairs.size();
-      combine_into(ctx_.spec(), reduced, pairs);
+      runs.push_back(m.template payload_as<Payload>().get());
+      reduce_pairs += runs.back()->size();
     }
-    return reduced;
+    return std::move(fold_by_destination(ctx_.spec(), true, runs, 1)[0]);
   }
 
   std::vector<sim::Future<sim::Unit>> submit_device_tasks(
@@ -697,9 +800,9 @@ class GatherStage {
  public:
   explicit GatherStage(StageContext<K, V>& ctx) : ctx_(ctx) {}
 
-  simnet::Message pack(std::map<K, V>&& reduced) {
+  simnet::Message pack(PairRun<K, V>&& reduced) {
     const auto& spec = ctx_.spec();
-    auto payload = std::make_shared<std::map<K, V>>(std::move(reduced));
+    auto payload = std::make_shared<PairRun<K, V>>(std::move(reduced));
     const double bytes =
         static_cast<double>(payload->size()) * spec.pair_bytes;
     return simnet::Message{bytes, std::move(payload)};
@@ -708,10 +811,10 @@ class GatherStage {
   void unpack_on_master(std::vector<simnet::Message>& gathered) {
     auto& st = *ctx_.st;
     const auto& spec = ctx_.spec();
-    using MapPayload = std::shared_ptr<std::map<K, V>>;
+    using Payload = std::shared_ptr<PairRun<K, V>>;
     for (auto& m : gathered) {
       if (!m.has_payload()) continue;
-      for (auto& [k, v] : *m.template payload_as<MapPayload>()) {
+      for (auto& [k, v] : *m.template payload_as<Payload>()) {
         st.final_output.emplace(
             k, spec.finalize ? spec.finalize(k, std::move(v))
                              : std::move(v));

@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,8 @@
 #include "core/job_runner.hpp"
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
 
 namespace prs::core {
 namespace {
@@ -521,6 +526,182 @@ TEST(Iterative, PipelinedWindowRunsNextPayloadsOnlyAfterTheAdvance) {
       /*state_bytes=*/1024.0);
   EXPECT_EQ(res.iterations, 6);
   EXPECT_EQ(seen, 6);
+}
+
+// -- node-local combine and reduce merge ---------------------------------------
+
+using StrRun = detail::PairRun<std::string, std::uint64_t>;
+
+/// Folds in unsigned arithmetic where the order of the values shows: any
+/// reordering of a key's values changes the result.
+MapReduceSpec<std::string, std::uint64_t> order_sensitive_spec() {
+  MapReduceSpec<std::string, std::uint64_t> spec;
+  spec.name = "order-sensitive";
+  spec.combine = [](const std::uint64_t& a, const std::uint64_t& b) {
+    return a * 31 + b;
+  };
+  return spec;
+}
+
+/// Keys longer than std::string's small-string buffer.
+std::string long_key(std::uint64_t id) {
+  return "a-key-well-past-the-small-string-buffer-" + std::to_string(id);
+}
+
+/// Runs of random pairs whose keys repeat within and across runs; every
+/// third run is empty.
+std::vector<StrRun> random_runs(std::uint64_t seed, std::size_t runs,
+                                std::size_t max_pairs, std::size_t keys) {
+  std::mt19937_64 rng(seed);
+  std::vector<StrRun> out(runs);
+  for (std::size_t r = 0; r < runs; ++r) {
+    if (r % 3 == 1) continue;
+    const std::size_t n = 1 + rng() % max_pairs;
+    for (std::size_t i = 0; i < n; ++i) {
+      out[r].emplace_back(long_key(rng() % keys), rng());
+    }
+  }
+  return out;
+}
+
+/// The runner's combine before it folded per destination, kept as the
+/// oracle: every pair inserted in emission order into one std::map, then
+/// bucketed by hash(key) % dests in key order.
+std::vector<StrRun> map_fold_oracle(
+    const MapReduceSpec<std::string, std::uint64_t>& spec,
+    std::vector<StrRun> runs, std::size_t dests) {
+  std::map<std::string, std::uint64_t> acc;
+  for (auto& run : runs) {
+    for (auto& [k, v] : run) {
+      auto it = acc.find(k);
+      if (it == acc.end()) {
+        acc.emplace(std::move(k), v);
+      } else {
+        it->second = spec.combine(it->second, v);
+      }
+    }
+  }
+  std::vector<StrRun> buckets(dests);
+  for (auto& [k, v] : acc) {
+    buckets[std::hash<std::string>{}(k) % dests].emplace_back(k, v);
+  }
+  return buckets;
+}
+
+std::vector<StrRun> fold(const MapReduceSpec<std::string, std::uint64_t>& spec,
+                         bool combine, std::vector<StrRun> runs,
+                         std::size_t dests) {
+  std::vector<StrRun*> ptrs;
+  for (auto& r : runs) ptrs.push_back(&r);
+  return detail::fold_by_destination(spec, combine, ptrs, dests);
+}
+
+TEST(ShuffleCombine, MatchesTheMapFoldAtAnyDestinationAndPoolSize) {
+  const auto spec = order_sensitive_spec();
+  // Below one fold grain the fold runs inline; above it, on the pool.
+  for (const std::size_t max_pairs : {40u, 4000u}) {
+    const auto runs = random_runs(max_pairs, 12, max_pairs, 300);
+    for (const std::size_t dests : {1u, 2u, 3u, 5u, 8u}) {
+      const auto want = map_fold_oracle(spec, runs, dests);
+      for (const int threads : {1, 2, 4}) {
+        ScopedPoolSize pool(threads);
+        EXPECT_EQ(fold(spec, true, runs, dests), want)
+            << "max_pairs=" << max_pairs << " dests=" << dests
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(ShuffleCombine, WithoutCombinerKeepsRawPairsInEmissionOrder) {
+  const auto spec = order_sensitive_spec();
+  const auto runs = random_runs(7, 12, 4000, 300);
+  for (const std::size_t dests : {1u, 3u, 8u}) {
+    std::vector<StrRun> want(dests);
+    for (const auto& run : runs) {
+      for (const auto& kv : run) {
+        want[std::hash<std::string>{}(kv.first) % dests].push_back(kv);
+      }
+    }
+    for (const int threads : {1, 4}) {
+      ScopedPoolSize pool(threads);
+      EXPECT_EQ(fold(spec, false, runs, dests), want)
+          << "dests=" << dests << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ShuffleCombine, EmptyRunsGiveEmptyBuckets) {
+  const auto spec = order_sensitive_spec();
+  EXPECT_EQ(fold(spec, true, {}, 3), std::vector<StrRun>(3));
+  EXPECT_EQ(fold(spec, true, std::vector<StrRun>(4), 5),
+            std::vector<StrRun>(5));
+}
+
+TEST(ShuffleCombine, ThrowingCombinerSurfacesFromTheFoldAndTheStage) {
+  ScopedPoolSize pool(4);
+  auto spec = order_sensitive_spec();
+  spec.combine = [](const std::uint64_t&, const std::uint64_t&)
+      -> std::uint64_t { throw std::runtime_error("combiner failed"); };
+  EXPECT_THROW(fold(spec, true, random_runs(3, 12, 4000, 300), 4),
+               std::runtime_error);
+
+  // The same combiner inside a job fails the job at its node-local
+  // combine, on every engine.
+  auto job = toy_spec();
+  job.combine = [](const long&, const long&) -> long {
+    throw std::runtime_error("combiner failed");
+  };
+  for (const auto engine : {ExecEngine::kStages, ExecEngine::kGraph}) {
+    sim::Simulator simu;
+    Cluster cluster(simu, 2, NodeConfig{});
+    JobConfig cfg;
+    cfg.engine = engine;
+    try {
+      (void)run_job(cluster, job, cfg, 4000);
+      ADD_FAILURE() << "the combiner's error did not surface";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("combiner failed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ShuffleCombine, StagesGraphAndTolerantPathFoldInTheSameOrder) {
+  // Each item emits one pair, so every node's combine holds more pairs
+  // than one fold grain and runs on the pool; the combiner shows any
+  // change in the order values reach it.
+  ScopedPoolSize pool(4);
+  auto spec = order_sensitive_spec();
+  spec.cpu_map = [](const InputSlice& s,
+                    Emitter<std::string, std::uint64_t>& e) {
+    for (std::size_t i = s.begin; i < s.end; ++i) {
+      e.emit(long_key(i * 7919 % 2000), i);
+    }
+  };
+  spec.cpu_flops_per_item = 100.0;
+  spec.gpu_flops_per_item = 100.0;
+  spec.ai_cpu = 50.0;
+  spec.ai_gpu = 50.0;
+  spec.item_bytes = 8.0;
+  constexpr std::size_t kItems = 60000;
+  const auto run = [&](ExecEngine engine, bool tolerant) {
+    sim::Simulator simu;
+    Cluster cluster(simu, 4, NodeConfig{});
+    fault::FaultInjector none(simu, fault::FaultPlan::parse(""), 1);
+    JobConfig cfg;
+    cfg.engine = engine;
+    if (tolerant) cfg.faults = &none;
+    return run_job(cluster, spec, cfg, kItems);
+  };
+  const auto stages = run(ExecEngine::kStages, false);
+  const auto graph = run(ExecEngine::kGraph, false);
+  const auto tolerant = run(ExecEngine::kStages, true);
+  ASSERT_EQ(stages.output.size(), 2000u);
+  ASSERT_GT(stages.stats.intermediate_pairs / 4, detail::kFoldGrain);
+  EXPECT_EQ(graph.output, stages.output);
+  EXPECT_EQ(tolerant.output, stages.output);
 }
 
 }  // namespace
