@@ -10,7 +10,9 @@
 //   * the same C-means sweep on raw std::threads with a static split
 //     (the paper's daemon structure, no pool) as the price-of-determinism
 //     reference;
-//   * a byte-identity check of every kernel result across all counts.
+//   * input generation (generate_blobs in chunks on the pool);
+//   * a byte-identity check of every kernel result and of the generated
+//     inputs across all counts.
 //
 // Wall-clock numbers vary run to run (this is the one bench measuring the
 // real machine, not the virtual clock); the identity verdict must not.
@@ -31,10 +33,11 @@ namespace {
 
 using namespace prs;
 
-/// FNV-1a over raw double bytes: byte-identity, not approximate equality.
-std::uint64_t digest(std::uint64_t h, const double* p, std::size_t n) {
+/// FNV-1a over raw bytes: byte-identity, not approximate equality.
+template <typename T>
+std::uint64_t digest(std::uint64_t h, const T* p, std::size_t n) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n * sizeof(double); ++i) {
+  for (std::size_t i = 0; i < n * sizeof(T); ++i) {
     h = (h ^ bytes[i]) * 1099511628211ULL;
   }
   return h;
@@ -76,9 +79,13 @@ int main() {
   for (int t = 1; t < max_threads; t *= 2) counts.push_back(t);
   counts.push_back(max_threads);
 
-  // C-means map workload: paper-shaped (many points, modest D/M).
+  // C-means map workload: paper-shaped (many points, modest D/M). The
+  // input-generation column regenerates it from the same seed.
+  const auto blobs = [](Rng& r) {
+    return data::generate_blobs(r, 20000, 16, 8, 10.0, 1.0);
+  };
   Rng rng(42);
-  auto ds = data::generate_blobs(rng, 20000, 16, 8, 10.0, 1.0);
+  auto ds = blobs(rng);
   linalg::MatrixD centers(8, ds.points.cols());
   for (std::size_t r = 0; r < centers.rows(); ++r) {
     for (std::size_t c = 0; c < centers.cols(); ++c) {
@@ -93,12 +100,14 @@ int main() {
 
   double cmeans_serial_s = 0.0;
   double gemm_serial_s = 0.0;
+  double gen_serial_s = 0.0;
   std::uint64_t cmeans_ref = 0;
   std::uint64_t gemm_ref = 0;
+  std::uint64_t gen_ref = 0;
   bool identical = true;
 
   TextTable t({"threads", "cmeans map (pool)", "cmeans map (raw threads)",
-               "blocked gemm (pool)"});
+               "blocked gemm (pool)", "input generation (pool)"});
   for (const int n : counts) {
     pool.configure(n);
     std::vector<std::vector<double>> partials;
@@ -116,6 +125,16 @@ int main() {
     const std::uint64_t gd =
         digest(1469598103934665603ULL, &c(0, 0), c.size());
 
+    data::Dataset gen;
+    const double gs = best_seconds([&] {
+      Rng r(42);
+      gen = blobs(r);
+    });
+    const std::uint64_t gend = digest(
+        digest(1469598103934665603ULL, gen.points.storage().data(),
+               gen.points.size()),
+        gen.labels.data(), gen.labels.size());
+
     // Raw static-split std::threads: pool sized to 1 so each raw thread
     // runs its slice serially (see cmeans_raw_thread_map).
     pool.configure(1);
@@ -126,12 +145,16 @@ int main() {
     if (n == 1) {
       cmeans_serial_s = cm;
       gemm_serial_s = gm;
+      gen_serial_s = gs;
       cmeans_ref = cd;
       gemm_ref = gd;
+      gen_ref = gend;
     }
-    identical = identical && cd == cmeans_ref && gd == gemm_ref;
+    identical =
+        identical && cd == cmeans_ref && gd == gemm_ref && gend == gen_ref;
     t.add_row({std::to_string(n), cell(cm, cmeans_serial_s),
-               cell(raw, cmeans_serial_s), cell(gm, gemm_serial_s)});
+               cell(raw, cmeans_serial_s), cell(gm, gemm_serial_s),
+               cell(gs, gen_serial_s)});
   }
   t.print();
 

@@ -38,9 +38,16 @@ DgemmSpec dgemm_spec(std::shared_ptr<DgemmState> state, std::size_t k,
                          core::Emitter<long, linalg::MatrixD>& e) {
     const auto& a = *state->a;
     const auto& b = *state->b;
-    // Compute the C block for rows [s.begin, s.end) with the blocked
-    // kernel (the "MKL path"); the CUDA path would call cuBLAS. Both the
-    // staging copy and gemm_blocked itself run on the host thread pool.
+    // Compute the C rows [s.begin, s.end) with the blocked kernel (the
+    // "MKL path"); the CUDA path would call cuBLAS. It runs on the host
+    // thread pool. With a shared C the rows go straight to their place and
+    // the pair carries an empty block; without one, the A rows are staged
+    // (also on the pool) and the block carries the C rows.
+    if (state->c != nullptr) {
+      linalg::gemm_blocked_rows(1.0, a, b, 0.0, *state->c, s.begin, s.end);
+      e.emit(static_cast<long>(s.begin), linalg::MatrixD{});
+      return;
+    }
     linalg::MatrixD a_block(s.size(), a.cols());
     exec::parallel_for(s.begin, s.end, kCopyGrain,
                        [&](std::size_t rb, std::size_t re) {
@@ -95,21 +102,15 @@ linalg::MatrixD dgemm_prs(core::Cluster& cluster, const linalg::MatrixD& a,
   state->b = &b;
   DgemmSpec spec = dgemm_spec(state, a.cols(), b.cols());
 
-  auto result = core::run_job(cluster, spec, cfg, a.rows());
-  if (stats_out != nullptr) *stats_out = result.stats;
-
+  // The payloads write C in place, so the job never holds per-task C
+  // blocks beside C (DESIGN.md §4f).
   linalg::MatrixD c;
   if (cfg.mode == core::ExecutionMode::kFunctional) {
     c = linalg::MatrixD(a.rows(), b.cols(), 0.0);
-    for (const auto& [start, block] : result.output) {
-      const auto row = static_cast<std::size_t>(start);
-      PRS_CHECK(row + block.rows() <= c.rows() && block.cols() == c.cols(),
-                "block out of range");
-      // A block's rows are contiguous in row-major C.
-      std::copy(block.data(), block.data() + block.size(),
-                c.data() + row * c.cols());
-    }
+    state->c = &c;
   }
+  auto result = core::run_job(cluster, spec, cfg, a.rows());
+  if (stats_out != nullptr) *stats_out = result.stats;
   return c;
 }
 

@@ -31,9 +31,13 @@ double dgemm_flops(std::size_t m, std::size_t n, std::size_t k);
 struct DgemmState {
   const linalg::MatrixD* a = nullptr;  // M x K
   const linalg::MatrixD* b = nullptr;  // K x N
+  /// M x N. When set, each payload writes its rows of C here and emits an
+  /// empty block; when null, the block carries the rows.
+  linalg::MatrixD* c = nullptr;
 };
 
-/// Key = first row of the C block; value = the computed rows (row-major).
+/// Key = first row of the C block; value = the computed rows (row-major),
+/// or an empty matrix when the state's `c` already holds them.
 using DgemmSpec = core::MapReduceSpec<long, linalg::MatrixD>;
 
 DgemmSpec dgemm_spec(std::shared_ptr<DgemmState> state, std::size_t k,

@@ -1,6 +1,7 @@
 #include "apps/wordcount.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <functional>
 #include <sstream>
 #include <string_view>
@@ -158,20 +159,36 @@ CorpusShape measure(const Corpus& corpus) {
 Corpus generate_corpus(Rng& rng, std::size_t lines,
                        std::size_t words_per_line, std::size_t vocabulary) {
   PRS_REQUIRE(vocabulary >= 1, "vocabulary must be non-empty");
-  Corpus corpus;
-  corpus.reserve(lines);
-  for (std::size_t i = 0; i < lines; ++i) {
-    std::string line;
-    for (std::size_t w = 0; w < words_per_line; ++w) {
-      // Zipf-ish: squared uniform biases toward low word ids.
-      const double u = rng.uniform();
-      const auto id =
-          static_cast<std::size_t>(u * u * static_cast<double>(vocabulary));
-      if (w > 0) line += ' ';
-      line += "word" + std::to_string(std::min(id, vocabulary - 1));
-    }
-    corpus.push_back(std::move(line));
+  // Every line is reserved here, on the calling thread, to the longest it
+  // can get: "word" plus the largest id's digits per word, a space between
+  // words. The pool workers then only write bytes, and no line regrows.
+  const std::size_t id_len = std::to_string(vocabulary - 1).size();
+  Corpus corpus(lines);
+  if (words_per_line > 0) {
+    for (auto& line : corpus) line.reserve(words_per_line * (5 + id_len) - 1);
   }
+  const std::size_t grain = std::max<std::size_t>(
+      1, exec::kGenerateDraws / std::max<std::size_t>(1, words_per_line));
+  exec::parallel_generate(
+      rng, lines, grain, words_per_line,
+      [&](std::size_t b, std::size_t e, Rng& r) {
+        char buf[24];
+        for (std::size_t i = b; i < e; ++i) {
+          std::string& line = corpus[i];
+          line.clear();  // overwrite: a chunk can run twice
+          for (std::size_t w = 0; w < words_per_line; ++w) {
+            // Zipf-ish: squared uniform biases toward low word ids.
+            const double u = r.uniform();
+            const auto id = static_cast<std::size_t>(
+                u * u * static_cast<double>(vocabulary));
+            if (w > 0) line += ' ';
+            line += "word";
+            line.append(buf, std::to_chars(buf, buf + sizeof buf,
+                                           std::min(id, vocabulary - 1))
+                                 .ptr);
+          }
+        }
+      });
   return corpus;
 }
 

@@ -40,6 +40,15 @@ class Rng {
 
   std::uint64_t next();
 
+  /// Advances the state exactly as `k` next() calls would. A pending cached
+  /// normal stays pending.
+  void discard(std::uint64_t k);
+
+  /// Same xoshiro state and the same *pending* cached normal, bit for bit:
+  /// two equal engines produce equal draws from here on. A cached normal
+  /// that normal() already consumed is stale and does not count.
+  friend bool operator==(const Rng& a, const Rng& b);
+
   /// Uniform double in [0, 1).
   double uniform();
 

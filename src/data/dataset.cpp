@@ -1,8 +1,10 @@
 #include "data/dataset.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
+#include "exec/parallel.hpp"
 
 namespace prs::data {
 
@@ -23,20 +25,29 @@ Dataset sample_gaussian_mixture(Rng& rng, std::size_t n,
   ds.labels.resize(n);
   ds.num_clusters = static_cast<int>(comps.size());
 
-  for (std::size_t i = 0; i < n; ++i) {
-    // Pick the component by weight.
-    double u = rng.uniform() * total_weight;
-    std::size_t k = 0;
-    for (; k + 1 < comps.size(); ++k) {
-      if (u < comps[k].weight) break;
-      u -= comps[k].weight;
-    }
-    const auto& c = comps[k];
-    for (std::size_t j = 0; j < d; ++j) {
-      ds.points(i, j) = rng.normal(c.mean[j], c.stddev[j]);
-    }
-    ds.labels[i] = static_cast<int>(k);
-  }
+  // A point takes one uniform and d normals; two points take 2 + 2d draws
+  // and leave the Box–Muller cache as they found it. Chunks of an even
+  // number of points therefore all start with an empty cache, where the
+  // predicted start is exact, at every d.
+  const std::size_t grain = std::max<std::size_t>(
+      2, (exec::kGenerateDraws / (d + 1)) & ~std::size_t{1});
+  exec::parallel_generate(
+      rng, n, grain, d + 1, [&](std::size_t b, std::size_t e, Rng& r) {
+        for (std::size_t i = b; i < e; ++i) {
+          // Pick the component by weight.
+          double u = r.uniform() * total_weight;
+          std::size_t k = 0;
+          for (; k + 1 < comps.size(); ++k) {
+            if (u < comps[k].weight) break;
+            u -= comps[k].weight;
+          }
+          const auto& c = comps[k];
+          for (std::size_t j = 0; j < d; ++j) {
+            ds.points(i, j) = r.normal(c.mean[j], c.stddev[j]);
+          }
+          ds.labels[i] = static_cast<int>(k);
+        }
+      });
   return ds;
 }
 
@@ -76,17 +87,31 @@ Dataset generate_blobs(Rng& rng, std::size_t n, std::size_t d, int k,
   return sample_gaussian_mixture(rng, n, comps);
 }
 
+namespace {
+
+/// One uniform draw per element, element order.
+void fill_uniform(Rng& rng, std::vector<double>& v, double lo, double hi) {
+  exec::parallel_generate(rng, v.size(), exec::kGenerateDraws, 1,
+                          [&](std::size_t b, std::size_t e, Rng& r) {
+                            for (std::size_t i = b; i < e; ++i) {
+                              v[i] = r.uniform(lo, hi);
+                            }
+                          });
+}
+
+}  // namespace
+
 linalg::MatrixD random_matrix(Rng& rng, std::size_t rows, std::size_t cols,
                               double lo, double hi) {
   linalg::MatrixD m(rows, cols);
-  for (auto& v : m.storage()) v = rng.uniform(lo, hi);
+  fill_uniform(rng, m.storage(), lo, hi);
   return m;
 }
 
 std::vector<double> random_vector(Rng& rng, std::size_t n, double lo,
                                   double hi) {
   std::vector<double> v(n);
-  for (auto& x : v) x = rng.uniform(lo, hi);
+  fill_uniform(rng, v, lo, hi);
   return v;
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace prs::exec {
@@ -124,6 +125,59 @@ T parallel_reduce(std::size_t begin, std::size_t end, std::size_t grain,
     }
   }
   return std::move(partials[0]);
+}
+
+/// Draws per chunk the input generators aim for: enough to amortize a
+/// chunk hand-off, few enough that a 1 M-draw input still makes 16 chunks.
+inline constexpr std::size_t kGenerateDraws = 65536;
+
+/// Fills items [0, n) from `rng` in fixed chunks of `grain` items, each run
+/// as body(chunk_begin, chunk_end, chunk_rng). The bytes written and the
+/// state `rng` is left in equal one serial call body(0, n, rng), at any
+/// thread count — not only across thread counts, as for parallel_reduce.
+///
+/// How: the calling thread walks a copy of `rng` with discard() to each
+/// chunk's predicted start, assuming every item takes `draws_per_item`
+/// next() calls. The chunks run in one parallel_for. Then each chunk's end
+/// state is checked against the next chunk's predicted start; from the
+/// first mismatch on, every later chunk is re-run serially from the true
+/// state. A prediction misses when a draw is rejected and redrawn
+/// (`u1 <= 0` in Rng::normal), or when a chunk does not start with an empty
+/// Box–Muller cache: a caller `rng` holding a cached normal, or a chunk
+/// boundary between the two normals of one pair (callers size grains so
+/// this does not happen). Because a chunk can run twice, `body` must
+/// overwrite its items, never append to them. Allocate the outputs before
+/// the call, on the calling thread, so workers only write bytes (DESIGN.md
+/// §4f). With one pool lane or inside a parallel region, body runs once
+/// over the whole range.
+template <typename Body>
+void parallel_generate(Rng& rng, std::size_t n, std::size_t grain,
+                       std::size_t draws_per_item, Body&& body) {
+  const std::size_t chunks = chunk_count(n, grain);
+  if (chunks <= 1 || ThreadPool::instance().threads() == 1 ||
+      ThreadPool::in_parallel_region()) {
+    if (n > 0) body(std::size_t{0}, n, rng);
+    return;
+  }
+  std::vector<Rng> starts(chunks, rng);
+  for (std::size_t c = 1; c < chunks; ++c) {
+    starts[c] = starts[c - 1];
+    starts[c].discard(grain * draws_per_item);
+  }
+  std::vector<Rng> ends(starts);
+  parallel_for(0, n, grain, [&](std::size_t b, std::size_t e) {
+    // A local engine: neighbouring slots of `ends` share cache lines.
+    Rng local = starts[b / grain];
+    body(b, e, local);
+    ends[b / grain] = local;
+  });
+  std::size_t c = 0;
+  while (c + 1 < chunks && ends[c] == starts[c + 1]) ++c;
+  rng = ends[c];
+  for (++c; c < chunks; ++c) {
+    const std::size_t b = c * grain;
+    body(b, n - b > grain ? b + grain : n, rng);
+  }
 }
 
 }  // namespace prs::exec

@@ -76,9 +76,15 @@ void ThreadPool::configure(int n) {
               "ThreadPool::configure called inside a parallel region");
   PRS_REQUIRE(n >= 0 && n <= kMaxThreads,
               "host thread count out of range [0, 256]");
+  const int want = n == 0 ? default_threads() : n;
+  // Same size: keep the running workers. Joining and respawning them buys
+  // nothing, and a caller that sizes the pool after a parallel region has
+  // already started it (a set-up that generates its inputs first) would
+  // otherwise spawn every worker twice.
+  if (want == threads_) return;
   stop_workers();
   std::lock_guard<std::mutex> lock(mutex_);
-  threads_ = n == 0 ? default_threads() : n;
+  threads_ = want;
   std::lock_guard<std::mutex> slock(stats_mutex_);
   stats_.threads = threads_;
 }

@@ -109,8 +109,9 @@ class ThreadPool {
   int threads() const { return threads_; }
 
   /// Re-sizes the pool to `n` threads total (0 = re-read PRS_HOST_THREADS /
-  /// hardware_concurrency). Joins existing workers first; must not be
-  /// called from inside a parallel region.
+  /// hardware_concurrency). Joins existing workers first, unless the pool
+  /// already has `n` threads: then the running workers are kept. Must not
+  /// be called from inside a parallel region.
   void configure(int n);
 
   /// Joins all workers. The next parallel region restarts them lazily.

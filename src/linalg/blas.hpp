@@ -171,23 +171,29 @@ constexpr double gemm_flops(double m, double n, double k) {
 /// thread pool; every C element is still produced by exactly one block in
 /// the same k0/j0 order, hence results are byte-identical to the serial
 /// loop for any thread count.
+///
+/// This form updates only rows [r0, r1) of C, from the same rows of A.
+/// Each element's k order does not depend on which rows are computed, so
+/// the rows get the bytes the whole-matrix call writes.
 template <typename T>
-void gemm_blocked(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
-                  Matrix<T>& c, std::size_t block = 64) {
+void gemm_blocked_rows(T alpha, const Matrix<T>& a, const Matrix<T>& b,
+                       T beta, Matrix<T>& c, std::size_t r0, std::size_t r1,
+                       std::size_t block = 64) {
   PRS_REQUIRE(a.cols() == b.rows(), "gemm: inner dimensions must match");
   PRS_REQUIRE(c.rows() == a.rows() && c.cols() == b.cols(),
               "gemm: output shape mismatch");
+  PRS_REQUIRE(r0 <= r1 && r1 <= a.rows(), "gemm: row range out of bounds");
   PRS_REQUIRE(block > 0, "block size must be positive");
-  const std::size_t m = a.rows(), n = b.cols(), kk = a.cols();
-  const std::size_t row_blocks = (m + block - 1) / block;
+  const std::size_t n = b.cols(), kk = a.cols();
+  const std::size_t row_blocks = (r1 - r0 + block - 1) / block;
   // Hoisted once: active_kernels() reads an atomic, and the level must not
   // change between chunks of one call anyway.
   const simd::Kernels& kn = simd::active_kernels();
   const bool fma = simd::fma_allowed();
   exec::parallel_for(0, row_blocks, 1, [&](std::size_t rb0, std::size_t rb1) {
     for (std::size_t rb = rb0; rb < rb1; ++rb) {
-      const std::size_t i0 = rb * block;
-      const std::size_t i1 = std::min(i0 + block, m);
+      const std::size_t i0 = r0 + rb * block;
+      const std::size_t i1 = std::min(i0 + block, r1);
       for (std::size_t i = i0; i < i1; ++i) {
         T* crow = c.row(i);
         if constexpr (std::is_same_v<T, double>) {
@@ -220,6 +226,13 @@ void gemm_blocked(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
       }
     }
   });
+}
+
+/// gemm_blocked_rows over every row.
+template <typename T>
+void gemm_blocked(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
+                  Matrix<T>& c, std::size_t block = 64) {
+  gemm_blocked_rows(alpha, a, b, beta, c, 0, a.rows(), block);
 }
 
 /// Transpose. No flops (data movement only).

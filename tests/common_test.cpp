@@ -109,6 +109,45 @@ TEST(Rng, ShufflePreservesElements) {
   EXPECT_EQ(a, b);
 }
 
+TEST(Rng, DiscardEqualsNextCalls) {
+  for (const std::uint64_t k : {0u, 1u, 2u, 1000u}) {
+    Rng a(31), b(31);
+    a.normal();  // a pending cached normal must stay pending
+    b.normal();
+    a.discard(k);
+    for (std::uint64_t i = 0; i < k; ++i) b.next();
+    EXPECT_TRUE(a == b) << "k=" << k;
+    EXPECT_EQ(a.normal(), b.normal()) << "k=" << k;
+    EXPECT_EQ(a.next(), b.next()) << "k=" << k;
+  }
+}
+
+TEST(Rng, EqualityIgnoresAConsumedCachedNormalButNotAPendingOne) {
+  // a's cache holds a stale, consumed value; b never cached one.
+  Rng a(5), b(5);
+  a.normal();
+  a.normal();
+  b.discard(2);
+  EXPECT_TRUE(a == b);
+
+  // Same state, but only c holds a pending normal.
+  Rng c(5);
+  c.normal();
+  EXPECT_FALSE(c == b);
+
+  // Same state, both pending, different values; equal again once both
+  // values are consumed.
+  Rng d(5), e(5);
+  d.discard(2);
+  d.normal();
+  e.normal();
+  e.discard(2);
+  EXPECT_FALSE(d == e);
+  d.normal();
+  e.normal();
+  EXPECT_TRUE(d == e);
+}
+
 TEST(Stats, AccumulatorBasics) {
   StatsAccumulator acc;
   for (double x : {1.0, 2.0, 3.0, 4.0}) acc.add(x);

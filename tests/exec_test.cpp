@@ -1,6 +1,8 @@
 // Host thread pool (src/exec): lifecycle, correctness of the parallel
 // wrappers, exception propagation, nested regions, and — the load-bearing
-// property — byte-identical app results for any thread count.
+// property — byte-identical app results for any thread count, and input
+// generators that write the bytes of one serial Rng walk.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -68,6 +70,37 @@ TEST(ThreadPool, ConfigureAndShutdownRoundTrip) {
 
   pool.configure(0);
   EXPECT_EQ(pool.threads(), exec::ThreadPool::default_threads());
+}
+
+/// The id of the last marking region a thread ran a chunk of; a freshly
+/// spawned thread starts at 0.
+thread_local int tl_region = 0;
+
+/// Runs slow chunks (so every worker lane takes part) that stamp their
+/// thread with `region`; returns how many worker-lane chunks found the
+/// stamp of region - 1 already on their thread.
+int chunks_on_surviving_workers(int region) {
+  std::atomic<int> survived{0};
+  exec::parallel_for(0, 12, 1, [&](std::size_t, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (exec::ThreadPool::current_lane() == 0) return;
+    if (tl_region == region - 1) survived.fetch_add(1);
+    tl_region = region;
+  });
+  return survived.load();
+}
+
+TEST(ThreadPool, ConfigureToTheSameSizeKeepsTheWorkers) {
+  PoolGuard guard;
+  auto& pool = exec::ThreadPool::instance();
+  pool.configure(3);
+  chunks_on_surviving_workers(1);
+  pool.configure(3);
+  EXPECT_EQ(pool.threads(), 3);
+  EXPECT_GT(chunks_on_surviving_workers(2), 0);
+  // A new size joins the workers: the next region runs on fresh threads.
+  pool.configure(2);
+  EXPECT_EQ(chunks_on_surviving_workers(3), 0);
 }
 
 TEST(ThreadPool, RejectsOutOfRangeConfiguration) {
@@ -382,6 +415,336 @@ TEST(ThreadPool, AppResultsAreByteIdenticalForAnyThreadCount) {
     pool.configure(t);
     EXPECT_EQ(run_all(), ref) << "threads=" << t;
   }
+}
+
+// ---------------------------------------------------------------------------
+// parallel_generate and the generators built on it. The oracles are copies of
+// the serial loops the generators ran before they were chunked: the chunked
+// generators must write the same bytes and leave the caller's Rng in the
+// same state, at every pool size.
+
+data::Dataset serial_mixture(
+    Rng& rng, std::size_t n,
+    const std::vector<data::GaussianComponent>& comps) {
+  const std::size_t d = comps.front().mean.size();
+  double total_weight = 0.0;
+  for (const auto& c : comps) total_weight += c.weight;
+  data::Dataset ds;
+  ds.points = linalg::MatrixD(n, d);
+  ds.labels.resize(n);
+  ds.num_clusters = static_cast<int>(comps.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    double u = rng.uniform() * total_weight;
+    std::size_t k = 0;
+    for (; k + 1 < comps.size(); ++k) {
+      if (u < comps[k].weight) break;
+      u -= comps[k].weight;
+    }
+    const auto& c = comps[k];
+    for (std::size_t j = 0; j < d; ++j) {
+      ds.points(i, j) = rng.normal(c.mean[j], c.stddev[j]);
+    }
+    ds.labels[i] = static_cast<int>(k);
+  }
+  return ds;
+}
+
+linalg::MatrixD serial_random_matrix(Rng& rng, std::size_t rows,
+                                     std::size_t cols, double lo, double hi) {
+  linalg::MatrixD m(rows, cols);
+  for (auto& v : m.storage()) v = rng.uniform(lo, hi);
+  return m;
+}
+
+std::vector<double> serial_random_vector(Rng& rng, std::size_t n) {
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+apps::Corpus serial_corpus(Rng& rng, std::size_t lines,
+                           std::size_t words_per_line,
+                           std::size_t vocabulary) {
+  apps::Corpus corpus;
+  corpus.reserve(lines);
+  for (std::size_t i = 0; i < lines; ++i) {
+    std::string line;
+    for (std::size_t w = 0; w < words_per_line; ++w) {
+      const double u = rng.uniform();
+      const auto id =
+          static_cast<std::size_t>(u * u * static_cast<double>(vocabulary));
+      if (w > 0) line += ' ';
+      line += "word" + std::to_string(std::min(id, vocabulary - 1));
+    }
+    corpus.push_back(std::move(line));
+  }
+  return corpus;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// The two engines produce the same next uniform() and normal(), bit for
+/// bit (a pending cached normal included).
+void expect_same_continuation(Rng got, Rng want, const std::string& where) {
+  const double gu = got.uniform(), wu = want.uniform();
+  const double gn = got.normal(), wn = want.normal();
+  EXPECT_EQ(std::memcmp(&gu, &wu, sizeof(double)), 0) << where;
+  EXPECT_EQ(std::memcmp(&gn, &wn, sizeof(double)), 0) << where;
+}
+
+/// An entry engine: fresh, or holding a pending cached normal.
+Rng entry_rng(std::uint64_t seed, bool cached) {
+  Rng rng(seed);
+  if (cached) rng.normal();
+  return rng;
+}
+
+/// Points per mixture chunk at dimension d, as data::sample_gaussian_mixture
+/// sizes them: about kGenerateDraws draws, an even number of points.
+std::size_t mixture_grain(std::size_t d) {
+  return std::max<std::size_t>(
+      2, (exec::kGenerateDraws / (d + 1)) & ~std::size_t{1});
+}
+
+/// Item counts around one chunk boundary plus several chunks.
+std::vector<std::size_t> edge_counts(std::size_t grain) {
+  return {0, 1, grain - 1, grain, grain + 1, 3 * grain + 5};
+}
+
+TEST(ParallelGenerate, MixtureMatchesTheSerialWalk) {
+  PoolGuard guard;
+  auto& pool = exec::ThreadPool::instance();
+  for (const std::size_t d : {1u, 3u, 4u, 100u}) {
+    // Unequal weights and per-dimension parameters, so a point taken from
+    // the wrong draws lands on other bytes.
+    Rng param_rng(d);
+    std::vector<data::GaussianComponent> comps(3);
+    for (std::size_t k = 0; k < comps.size(); ++k) {
+      comps[k].weight = 1.0 + static_cast<double>(k);
+      for (std::size_t j = 0; j < d; ++j) {
+        comps[k].mean.push_back(param_rng.uniform(-5.0, 5.0));
+        comps[k].stddev.push_back(param_rng.uniform(0.5, 2.0));
+      }
+    }
+    for (const std::size_t n : edge_counts(mixture_grain(d))) {
+      for (const bool cached : {false, true}) {
+        Rng want_rng = entry_rng(100 + n, cached);
+        const auto want = serial_mixture(want_rng, n, comps);
+        for (const int t : {1, 2, 4}) {
+          pool.configure(t);
+          const std::string where = "d=" + std::to_string(d) +
+                                    " n=" + std::to_string(n) +
+                                    " cached=" + std::to_string(cached) +
+                                    " threads=" + std::to_string(t);
+          Rng got_rng = entry_rng(100 + n, cached);
+          const auto got = data::sample_gaussian_mixture(got_rng, n, comps);
+          EXPECT_EQ(got.points.rows(), n) << where;
+          EXPECT_TRUE(same_bytes(got.points.storage(), want.points.storage()))
+              << where;
+          EXPECT_EQ(got.labels, want.labels) << where;
+          EXPECT_EQ(got.num_clusters, want.num_clusters) << where;
+          expect_same_continuation(got_rng, want_rng, where);
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelGenerate, UniformMatricesAndVectorsMatchTheSerialWalk) {
+  PoolGuard guard;
+  auto& pool = exec::ThreadPool::instance();
+  struct Shape {
+    std::size_t rows, cols;
+    double lo, hi;
+  };
+  const std::size_t g = exec::kGenerateDraws;
+  const std::vector<Shape> shapes = {
+      {0, 5, -1.0, 1.0},     {7, 0, -1.0, 1.0}, {1, 1, -1.0, 1.0},
+      {g - 1, 1, -1.0, 1.0}, {1, g, -1.0, 1.0}, {g + 1, 1, 0.0, 3.0},
+      {301, 700, -2.0, 0.5}, {300, 700, 2.5, 2.5}};
+  for (const auto& s : shapes) {
+    for (const bool cached : {false, true}) {
+      Rng want_rng = entry_rng(s.rows * 31 + s.cols, cached);
+      const auto want =
+          serial_random_matrix(want_rng, s.rows, s.cols, s.lo, s.hi);
+      for (const int t : {1, 2, 4}) {
+        pool.configure(t);
+        const std::string where = "matrix " + std::to_string(s.rows) + "x" +
+                                  std::to_string(s.cols) +
+                                  " cached=" + std::to_string(cached) +
+                                  " threads=" + std::to_string(t);
+        Rng got_rng = entry_rng(s.rows * 31 + s.cols, cached);
+        const auto got =
+            data::random_matrix(got_rng, s.rows, s.cols, s.lo, s.hi);
+        EXPECT_EQ(got.rows(), s.rows) << where;
+        EXPECT_EQ(got.cols(), s.cols) << where;
+        EXPECT_TRUE(same_bytes(got.storage(), want.storage())) << where;
+        expect_same_continuation(got_rng, want_rng, where);
+      }
+    }
+  }
+  for (const std::size_t n : edge_counts(g)) {
+    Rng want_rng = entry_rng(n, true);
+    const auto want = serial_random_vector(want_rng, n);
+    for (const int t : {1, 2, 4}) {
+      pool.configure(t);
+      const std::string where =
+          "vector n=" + std::to_string(n) + " threads=" + std::to_string(t);
+      Rng got_rng = entry_rng(n, true);
+      EXPECT_TRUE(same_bytes(data::random_vector(got_rng, n), want)) << where;
+      expect_same_continuation(got_rng, want_rng, where);
+    }
+  }
+}
+
+TEST(ParallelGenerate, CorpusMatchesTheSerialWalk) {
+  PoolGuard guard;
+  auto& pool = exec::ThreadPool::instance();
+  for (const std::size_t words : {1u, 40u}) {
+    const std::size_t grain = exec::kGenerateDraws / words;
+    for (const std::size_t vocabulary : {1u, 1000000u}) {
+      for (const std::size_t lines : {std::size_t{0}, std::size_t{1},
+                                      grain - 1, grain, grain + 1,
+                                      3 * grain + 1}) {
+        Rng want_rng = entry_rng(lines + words, lines % 2 == 1);
+        const auto want = serial_corpus(want_rng, lines, words, vocabulary);
+        for (const int t : {1, 2, 4}) {
+          pool.configure(t);
+          const std::string where =
+              "words=" + std::to_string(words) +
+              " vocabulary=" + std::to_string(vocabulary) +
+              " lines=" + std::to_string(lines) +
+              " threads=" + std::to_string(t);
+          Rng got_rng = entry_rng(lines + words, lines % 2 == 1);
+          EXPECT_EQ(apps::generate_corpus(got_rng, lines, words, vocabulary),
+                    want)
+              << where;
+          expect_same_continuation(got_rng, want_rng, where);
+        }
+      }
+    }
+  }
+}
+
+constexpr std::size_t kExtraDrawGrain = 100;
+
+/// Runs parallel_generate over out.size() items in chunks of
+/// kExtraDrawGrain with a body that writes one next() per item and draws one
+/// extra value after item `extra_at`. Returns how often the body ran over
+/// each chunk.
+std::vector<int> generate_with_extra_draw(std::size_t extra_at,
+                                          std::vector<std::uint64_t>& out,
+                                          Rng& rng) {
+  std::vector<std::atomic<int>> calls(
+      exec::chunk_count(out.size(), kExtraDrawGrain));
+  exec::parallel_generate(
+      rng, out.size(), kExtraDrawGrain, 1,
+      [&](std::size_t b, std::size_t e, Rng& r) {
+        ++calls[b / kExtraDrawGrain];
+        for (std::size_t i = b; i < e; ++i) {
+          out[i] = r.next();
+          if (i == extra_at) r.next();
+        }
+      });
+  return std::vector<int>(calls.begin(), calls.end());
+}
+
+TEST(ParallelGenerate, ReRunStartsRightAfterTheChunkThatDrewExtra) {
+  PoolGuard guard;
+  auto& pool = exec::ThreadPool::instance();
+  constexpr std::size_t kN = 450;  // five chunks of 100, the last short
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t extra_at : {kNone, std::size_t{0}, std::size_t{250},
+                                     std::size_t{449}}) {
+    Rng want_rng(9);
+    std::vector<std::uint64_t> want(kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+      want[i] = want_rng.next();
+      if (i == extra_at) want_rng.next();
+    }
+    for (const int t : {1, 2, 4}) {
+      pool.configure(t);
+      const std::string where = "extra_at=" + std::to_string(extra_at) +
+                                " threads=" + std::to_string(t);
+      Rng got_rng(9);
+      std::vector<std::uint64_t> got(kN);
+      const auto calls = generate_with_extra_draw(extra_at, got, got_rng);
+      EXPECT_EQ(got, want) << where;
+      EXPECT_TRUE(got_rng == want_rng) << where;
+
+      // One lane: one call over the whole range. Otherwise every chunk runs
+      // once, and the chunks after the one that drew extra once more; a
+      // correct prediction (no extra draw, or one in the last chunk)
+      // re-runs nothing.
+      std::vector<int> expected(calls.size(), 0);
+      if (t == 1) {
+        expected[0] = 1;
+      } else {
+        for (std::size_t c = 0; c < expected.size(); ++c) {
+          expected[c] =
+              extra_at != kNone && c > extra_at / kExtraDrawGrain ? 2 : 1;
+        }
+      }
+      EXPECT_EQ(calls, expected) << where;
+    }
+  }
+}
+
+TEST(ParallelGenerate, EvenMixtureChunksNeverReRunAndNestedCallsRunOnce) {
+  PoolGuard guard;
+  auto& pool = exec::ThreadPool::instance();
+  pool.configure(4);
+  // The mixture's draw pattern at d = 3: one uniform and three normals per
+  // point. With an odd grain a chunk boundary splits a Box–Muller pair, the
+  // prediction misses and every later chunk re-runs; with an even grain no
+  // chunk re-runs. Either way the bytes are the serial walk's.
+  constexpr std::size_t kN = 1000;
+  auto point = [](std::vector<double>& out, std::size_t i, Rng& r) {
+    out[4 * i] = r.uniform();
+    for (std::size_t j = 1; j < 4; ++j) out[4 * i + j] = r.normal();
+  };
+  Rng want_rng(21);
+  std::vector<double> want(4 * kN);
+  for (std::size_t i = 0; i < kN; ++i) point(want, i, want_rng);
+
+  for (const std::size_t grain : {std::size_t{100}, std::size_t{99}}) {
+    std::atomic<int> calls{0};
+    Rng got_rng(21);
+    std::vector<double> got(4 * kN);
+    exec::parallel_generate(got_rng, kN, grain, 4,
+                            [&](std::size_t b, std::size_t e, Rng& r) {
+                              ++calls;
+                              for (std::size_t i = b; i < e; ++i) {
+                                point(got, i, r);
+                              }
+                            });
+    const int chunks = static_cast<int>(exec::chunk_count(kN, grain));
+    EXPECT_TRUE(same_bytes(got, want)) << "grain=" << grain;
+    EXPECT_TRUE(got_rng == want_rng) << "grain=" << grain;
+    EXPECT_EQ(calls.load(), grain % 2 == 0 ? chunks : 2 * chunks - 1)
+        << "grain=" << grain;
+  }
+
+  // Inside a parallel region the body runs once, inline, over the range.
+  int nested_calls = 0;
+  Rng nested_rng(21);
+  std::vector<double> nested(4 * kN);
+  exec::parallel_for(0, 1, 1, [&](std::size_t, std::size_t) {
+    exec::parallel_generate(nested_rng, kN, 100, 4,
+                            [&](std::size_t b, std::size_t e, Rng& r) {
+                              ++nested_calls;
+                              for (std::size_t i = b; i < e; ++i) {
+                                point(nested, i, r);
+                              }
+                            });
+  });
+  EXPECT_EQ(nested_calls, 1);
+  EXPECT_TRUE(same_bytes(nested, want));
+  EXPECT_TRUE(nested_rng == want_rng);
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 // arithmetic intensity depends on block size (Eqs (10)-(11)).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
+
 #include "apps/cmeans.hpp"
 #include "apps/dgemm.hpp"
 #include "linalg/blas.hpp"
@@ -13,6 +17,7 @@
 #include "core/cluster.hpp"
 #include "core/job_runner.hpp"
 #include "data/dataset.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace prs::core {
 namespace {
@@ -257,6 +262,64 @@ TEST(Dgemm, PrsMatchesBlockedKernel) {
           << nodes << " nodes";
     }
   }
+}
+
+// dgemm_prs hands its payloads a shared C: they write their rows in place
+// and emit empty blocks. The rows, the virtual time and the pair count must
+// equal those of the block path (no shared C), at any pool size.
+TEST(Dgemm, InPlaceRowsMatchTheBlockPath) {
+  Rng rng(11);
+  const auto a = data::random_matrix(rng, 150, 40);
+  const auto b = data::random_matrix(rng, 40, 70);
+  NodeConfig node = delta_with_gpus(1);
+  JobConfig cfg;
+  cfg.mode = ExecutionMode::kFunctional;
+
+  sim::Simulator sim0;
+  Cluster cluster0(sim0, 2, node);
+  auto blocks_state = std::make_shared<apps::DgemmState>();
+  blocks_state->a = &a;
+  blocks_state->b = &b;
+  const auto blocks = run_job(cluster0, apps::dgemm_spec(blocks_state, 40, 70),
+                              cfg, a.rows());
+  linalg::MatrixD want(150, 70, 0.0);
+  for (const auto& [row, block] : blocks.output) {
+    ASSERT_FALSE(block.empty());
+    std::copy(block.data(), block.data() + block.size(),
+              want.row(static_cast<std::size_t>(row)));
+  }
+
+  for (const int threads : {1, 2, 4}) {
+    exec::ThreadPool::instance().configure(threads);
+    sim::Simulator sim1;
+    Cluster cluster1(sim1, 2, node);
+    linalg::MatrixD c(150, 70, 0.0);
+    auto state = std::make_shared<apps::DgemmState>();
+    state->a = &a;
+    state->b = &b;
+    state->c = &c;
+    const auto inplace =
+        run_job(cluster1, apps::dgemm_spec(state, 40, 70), cfg, a.rows());
+    ASSERT_EQ(inplace.output.size(), blocks.output.size());
+    for (const auto& [row, block] : inplace.output) {
+      EXPECT_TRUE(block.empty()) << "row " << row;
+    }
+    EXPECT_EQ(std::memcmp(c.data(), want.data(), c.size() * sizeof(double)),
+              0)
+        << threads << " threads";
+    EXPECT_EQ(inplace.stats.elapsed, blocks.stats.elapsed);
+    EXPECT_EQ(inplace.stats.intermediate_pairs,
+              blocks.stats.intermediate_pairs);
+    EXPECT_EQ(inplace.stats.network_bytes, blocks.stats.network_bytes);
+
+    sim::Simulator sim2;
+    Cluster cluster2(sim2, 2, node);
+    const auto got = apps::dgemm_prs(cluster2, a, b, cfg);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+              0)
+        << threads << " threads";
+  }
+  exec::ThreadPool::instance().configure(0);
 }
 
 TEST(Dgemm, HighAiSendsWorkToGpu) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -148,6 +150,38 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GemmCase{1, 1, 1, 4}, GemmCase{5, 7, 3, 2},
                       GemmCase{16, 16, 16, 8}, GemmCase{33, 17, 29, 8},
                       GemmCase{64, 64, 64, 64}, GemmCase{10, 100, 1, 16}));
+
+// gemm_blocked_rows over pieces of the rows writes the bytes of one
+// whole-matrix call and leaves the other rows alone.
+TEST(Blas, BlockedRowsMatchTheWholeMatrixCall) {
+  Rng rng(47);
+  MatrixD a(150, 37), b(37, 90);
+  for (auto& v : a.storage()) v = rng.uniform(-1, 1);
+  for (auto& v : b.storage()) v = rng.uniform(-1, 1);
+  MatrixD whole(150, 90, 0.25);
+  gemm_blocked(1.3, a, b, 0.7, whole, 16);
+  MatrixD pieces(150, 90, 0.25);
+  for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 1},
+                              {1, 70}, {70, 70}, {70, 150}}) {
+    gemm_blocked_rows(1.3, a, b, 0.7, pieces, r0, r1, 16);
+  }
+  EXPECT_EQ(std::memcmp(whole.data(), pieces.data(),
+                        whole.size() * sizeof(double)),
+            0);
+
+  MatrixD part(150, 90, 0.25);
+  const MatrixD untouched(1, 90, 0.25);
+  gemm_blocked_rows(1.3, a, b, 0.7, part, 40, 60, 16);
+  for (std::size_t r = 0; r < part.rows(); ++r) {
+    const double* want = r >= 40 && r < 60 ? whole.row(r) : untouched.row(0);
+    EXPECT_EQ(std::memcmp(part.row(r), want, 90 * sizeof(double)), 0)
+        << "row " << r;
+  }
+  EXPECT_THROW(gemm_blocked_rows(1.0, a, b, 0.0, part, 60, 40),
+               InvalidArgument);
+  EXPECT_THROW(gemm_blocked_rows(1.0, a, b, 0.0, part, 0, 151),
+               InvalidArgument);
+}
 
 // Property: gemv is a linear operator.
 TEST(Blas, GemvLinearity) {
