@@ -189,7 +189,7 @@ int main() {
     {  // blocked dgemm (the paper's dense-kernel workload).
       linalg::MatrixD gc(gemm_n, gemm_n, 0.0);
       const double s =
-          best_seconds([&] { linalg::gemm_blocked(1.0, ga, gb, 0.0, gc, 64); });
+          best_seconds([&] { linalg::gemm_blocked(1.0, ga, gb, 0.0, gc); });
       reports[3].runs.push_back(
           {s, digest(1469598103934665603ULL, gc.storage().data(),
                      gc.storage().size())});

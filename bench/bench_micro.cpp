@@ -86,7 +86,7 @@ void BM_GemmBlockedVsNaive(benchmark::State& state) {
   for (auto& v : b.storage()) v = rng.uniform(-1, 1);
   for (auto _ : state) {
     if (blocked) {
-      linalg::gemm_blocked(1.0, a, b, 0.0, c, 64);
+      linalg::gemm_blocked(1.0, a, b, 0.0, c);
     } else {
       linalg::gemm(1.0, a, b, 0.0, c);
     }

@@ -51,13 +51,19 @@ void fuzzy_weights(const double* x, const double* ct, std::size_t m,
 
   // u_ij = 1 / sum_k (||x-c_j|| / ||x-c_k||)^(2/(m-1))   (Eq (13))
   // Using squared distances: ratio^(2/(m-1)) = (d2_j/d2_k)^(1/(m-1)).
+  // Each d2_k^(-1/(m-1)) is computed once, for the sum and as u_ik's
+  // numerator: pow is a pure function, so the bytes are those of calling
+  // it twice.
   const double inv_exp = 1.0 / (fuzziness - 1.0);
+  static thread_local std::vector<double> inv_pow;
+  inv_pow.resize(m);
   double denom_sum = 0.0;  // sum_k d2_k^(-1/(m-1))
   for (std::size_t k = 0; k < m; ++k) {
-    denom_sum += std::pow(dist2[k], -inv_exp);
+    inv_pow[k] = std::pow(dist2[k], -inv_exp);
+    denom_sum += inv_pow[k];
   }
   for (std::size_t j = 0; j < m; ++j) {
-    const double u = std::pow(dist2[j], -inv_exp) / denom_sum;
+    const double u = inv_pow[j] / denom_sum;
     weights[j] = std::pow(u, fuzziness);       // u_ij^m for Eq (14)
     objective += weights[j] * dist2[j];        // Eq (12) contribution
   }

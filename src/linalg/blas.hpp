@@ -5,6 +5,7 @@
 // the tests assert it.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <type_traits>
@@ -166,73 +167,52 @@ constexpr double gemm_flops(double m, double n, double k) {
   return 2.0 * m * n * k;
 }
 
-/// Blocked gemm (cache tiling); same result as gemm, same flop count.
-/// Row blocks of C are disjoint, so they run in parallel on the host
-/// thread pool; every C element is still produced by exactly one block in
-/// the same k0/j0 order, hence results are byte-identical to the serial
-/// loop for any thread count.
-///
-/// This form updates only rows [r0, r1) of C, from the same rows of A.
-/// Each element's k order does not depend on which rows are computed, so
-/// the rows get the bytes the whole-matrix call writes.
-template <typename T>
-void gemm_blocked_rows(T alpha, const Matrix<T>& a, const Matrix<T>& b,
-                       T beta, Matrix<T>& c, std::size_t r0, std::size_t r1,
-                       std::size_t block = 64) {
+/// Rows and columns of C in one host-pool chunk of gemm_blocked_rows:
+/// enough work (2 * 32 * 192 * K flops) to amortize a hand-off, few enough
+/// rows that a block of a couple of hundred rows still makes a chunk per
+/// lane and more. 192 columns is a whole number of tiles at every SIMD
+/// level (DESIGN.md §4j).
+inline constexpr std::size_t kGemmChunkRows = 32;
+inline constexpr std::size_t kGemmChunkCols = 192;
+
+/// C = alpha * A * B + beta * C on rows [r0, r1) of C, from the same rows
+/// of A; same result as gemm, same flop count. The rows split into a fixed
+/// grid of kGemmChunkRows x kGemmChunkCols chunks of C that run on the
+/// host pool, each one simd gemm_block call. Every element gets gemm's
+/// operations in gemm's order whatever the chunk, tile, SIMD level or
+/// thread count, so the rows get the bytes of plain gemm and of the
+/// whole-matrix call.
+inline void gemm_blocked_rows(double alpha, const MatrixD& a,
+                              const MatrixD& b, double beta, MatrixD& c,
+                              std::size_t r0, std::size_t r1) {
   PRS_REQUIRE(a.cols() == b.rows(), "gemm: inner dimensions must match");
   PRS_REQUIRE(c.rows() == a.rows() && c.cols() == b.cols(),
               "gemm: output shape mismatch");
   PRS_REQUIRE(r0 <= r1 && r1 <= a.rows(), "gemm: row range out of bounds");
-  PRS_REQUIRE(block > 0, "block size must be positive");
   const std::size_t n = b.cols(), kk = a.cols();
-  const std::size_t row_blocks = (r1 - r0 + block - 1) / block;
+  const std::size_t row_chunks = exec::chunk_count(r1 - r0, kGemmChunkRows);
+  const std::size_t chunks = row_chunks * exec::chunk_count(n, kGemmChunkCols);
   // Hoisted once: active_kernels() reads an atomic, and the level must not
   // change between chunks of one call anyway.
   const simd::Kernels& kn = simd::active_kernels();
-  const bool fma = simd::fma_allowed();
-  exec::parallel_for(0, row_blocks, 1, [&](std::size_t rb0, std::size_t rb1) {
-    for (std::size_t rb = rb0; rb < rb1; ++rb) {
-      const std::size_t i0 = r0 + rb * block;
-      const std::size_t i1 = std::min(i0 + block, r1);
-      for (std::size_t i = i0; i < i1; ++i) {
-        T* crow = c.row(i);
-        if constexpr (std::is_same_v<T, double>) {
-          kn.scale(crow, beta, n);
-        } else {
-          for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
-        }
-      }
-      for (std::size_t k0 = 0; k0 < kk; k0 += block) {
-        const std::size_t k1 = std::min(k0 + block, kk);
-        for (std::size_t j0 = 0; j0 < n; j0 += block) {
-          const std::size_t j1 = std::min(j0 + block, n);
-          for (std::size_t i = i0; i < i1; ++i) {
-            T* crow = c.row(i);
-            for (std::size_t k = k0; k < k1; ++k) {
-              const T aik = alpha * a(i, k);
-              const T* brow = b.row(k);
-              // crow[j] += aik * brow[j] is element-wise (one product, one
-              // add per C element, no cross-element reassociation), so the
-              // vector form is bit-identical to the scalar loop.
-              if constexpr (std::is_same_v<T, double>) {
-                (fma ? kn.axpy_acc_fast : kn.axpy_acc)(crow + j0, brow + j0,
-                                                       aik, j1 - j0);
-              } else {
-                for (std::size_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
-              }
-            }
-          }
-        }
-      }
+  // Column-major chunk order: the chunks a lane claims in a row share a
+  // K x 192 panel of B.
+  exec::parallel_for(0, chunks, 1, [&](std::size_t t0, std::size_t t1) {
+    for (std::size_t t = t0; t < t1; ++t) {
+      const std::size_t i0 = r0 + (t % row_chunks) * kGemmChunkRows;
+      const std::size_t j0 = (t / row_chunks) * kGemmChunkCols;
+      kn.gemm_block(std::min(kGemmChunkRows, r1 - i0),
+                    std::min(kGemmChunkCols, n - j0), kk, alpha,
+                    a.data() + i0 * kk, kk, b.data() + j0, n, beta,
+                    c.data() + i0 * n + j0, n);
     }
   });
 }
 
 /// gemm_blocked_rows over every row.
-template <typename T>
-void gemm_blocked(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
-                  Matrix<T>& c, std::size_t block = 64) {
-  gemm_blocked_rows(alpha, a, b, beta, c, 0, a.rows(), block);
+inline void gemm_blocked(double alpha, const MatrixD& a, const MatrixD& b,
+                         double beta, MatrixD& c) {
+  gemm_blocked_rows(alpha, a, b, beta, c, 0, a.rows());
 }
 
 /// Transpose. No flops (data movement only).

@@ -16,9 +16,9 @@
 // fma_allowed() produces bit-identical results at all three levels — the
 // vector forms keep the scalar accumulation order per output element and
 // are compiled with -ffp-contract=off. Kernels that reassociate or fuse
-// (multi-accumulator dot, vectorized nrm2, FMA gemm updates) are only
-// dispatched behind the explicit fma_allowed() opt-in (PRS_SIMD_FMA /
-// --simd-fma) and are tested to ULP bounds instead.
+// (multi-accumulator dot, vectorized nrm2) are only dispatched behind the
+// explicit fma_allowed() opt-in (PRS_SIMD_FMA / --simd-fma) and are tested
+// to ULP bounds instead.
 #pragma once
 
 #include <string>
@@ -59,8 +59,7 @@ void set_level(const std::string& name);
 void clear_level_override();
 
 /// FMA-tier opt-in: reassociated/fused kernels (multi-accumulator dot,
-/// vectorized nrm2, fused gemm row updates) are dispatched only when this
-/// returns true. Default comes from PRS_SIMD_FMA (1/true/on); at the
+/// vectorized nrm2) are dispatched only when this returns true. Default comes from PRS_SIMD_FMA (1/true/on); at the
 /// scalar level the flag is a no-op (the scalar table points the fast
 /// entries at the deterministic reference).
 bool fma_allowed();

@@ -1,7 +1,7 @@
 // The prs::simd kernel table: vectorized forms of the hot inner loops of
 // the eight applications and the linalg BLAS subset.
 //
-// Layout convention: the *_block kernels take the small model matrix
+// Layout convention: dist2_block and quad_block take the small model matrix
 // (centers / means / variances, M x D row-major everywhere else) packed
 // COLUMN-major — ct[c * m + j] = centers(j, c) — so that lane j of a
 // vector register walks center j while consecutive lanes load contiguous
@@ -37,7 +37,7 @@ struct Kernels {
                      const double* var_t, std::size_t m, std::size_t d,
                      double* out);
 
-  /// acc[i] += w * x[i] (cmeans weighted accumulation, gemm row update).
+  /// acc[i] += w * x[i] (cmeans weighted accumulation).
   void (*axpy_acc)(double* acc, const double* x, double w, std::size_t n);
 
   /// acc[i] += x[i] (kmeans per-cluster sums).
@@ -47,9 +47,6 @@ struct Kernels {
   /// note the second product uses the first, matching the scalar order).
   void (*moments_acc)(double* p1, double* p2, const double* x, double r,
                       std::size_t n);
-
-  /// v[i] *= s (gemm beta pre-scaling).
-  void (*scale)(double* v, double s, std::size_t n);
 
   /// out[r] = dot(a + r*lda, x) for r in [0, rows): lane-per-row gemv.
   /// Each row's accumulation runs in ascending-c scalar order (the lanes
@@ -65,6 +62,18 @@ struct Kernels {
   double (*stencil_row)(double* out, const double* mid, const double* up,
                         const double* down, std::size_t cols);
 
+  /// One rows x cols block of C = alpha * A * B + beta * C (row-major,
+  /// leading dimensions lda/ldb/ldc). Every element gets c * beta, then
+  /// c + (alpha * a(i,p)) * b(p,j) for p = 0, 1, ..., k-1, each product and
+  /// sum rounded on its own: the operations of a beta-scaled row followed
+  /// by one axpy per p, so the bytes do not depend on the level or on how
+  /// a caller splits C into blocks. The vector forms hold a tile of C in
+  /// registers for the whole p loop (tile shapes: DESIGN.md §4j).
+  void (*gemm_block)(std::size_t rows, std::size_t cols, std::size_t k,
+                     double alpha, const double* a, std::size_t lda,
+                     const double* b, std::size_t ldb, double beta,
+                     double* c, std::size_t ldc);
+
   // ---- fma tier: reassociated/fused, ULP-bounded vs the reference.
   //      Call sites must guard with simd::fma_allowed(). In the scalar
   //      table these point at the deterministic reference. ----
@@ -75,10 +84,6 @@ struct Kernels {
   /// Vectorized two-pass scaled nrm2 (same NaN/Inf/±0 contract as
   /// linalg::nrm2: any NaN => NaN, else any Inf => +Inf, else finite).
   double (*nrm2_fast)(const double* x, std::size_t n);
-
-  /// acc[i] += w * x[i] with fused multiply-add.
-  void (*axpy_acc_fast)(double* acc, const double* x, double w,
-                        std::size_t n);
 };
 
 /// The kernel table for one level (scalar table when the level's TU was
@@ -89,7 +94,8 @@ const Kernels& kernels_for(Level level);
 inline const Kernels& active_kernels() { return kernels_for(active_level()); }
 
 /// Packs a row-major (rows x cols) block into the column-major lane
-/// layout the *_block kernels read: out[c * rows + j] = a[j * cols + c].
+/// layout dist2_block and quad_block read:
+/// out[c * rows + j] = a[j * cols + c].
 inline void pack_transposed(const double* a, std::size_t rows,
                             std::size_t cols, std::vector<double>& out) {
   out.resize(rows * cols);

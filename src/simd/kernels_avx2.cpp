@@ -15,6 +15,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -112,15 +113,6 @@ void moments_acc(double* p1, double* p2, const double* x, double r,
   }
 }
 
-void scale(double* v, double s, std::size_t n) {
-  const __m256d sv = _mm256_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    _mm256_storeu_pd(v + i, _mm256_mul_pd(_mm256_loadu_pd(v + i), sv));
-  }
-  for (; i < n; ++i) v[i] *= s;
-}
-
 void row_dots(const double* a, std::size_t lda, std::size_t rows,
               std::size_t d, const double* x, double* out) {
   std::size_t r = 0;
@@ -170,6 +162,94 @@ double stencil_row(double* out, const double* mid, const double* up,
     max_update = std::max(max_update, std::fabs(v - mid[c]));
   }
   return max_update;
+}
+
+// gemm: an R x V tile — R rows of C, V vectors of kW columns each — stays
+// in R*V registers for the whole p loop (4 x 2 = 8 of the 16 ymm at full
+// size, leaving room for the B row, the broadcast and the product).
+// `last` marks the lanes of the last vector inside the block; the other
+// lanes compute on zeros and are never stored. Per lane the operations are
+// ref::gemm_block's: c * beta, then c + (alpha * a) * b in ascending p,
+// unfused.
+constexpr std::size_t kMr = 4;         // tile rows
+constexpr std::size_t kNv = 2;         // tile vectors
+constexpr std::size_t kNr = kNv * kW;  // tile columns
+
+template <std::size_t R, std::size_t V>
+void gemm_tile(std::size_t k, double alpha, const double* a, std::size_t lda,
+               const double* b, std::size_t ldb, double beta, double* c,
+               std::size_t ldc, __m256i last) {
+  const auto load = [last](const double* p, std::size_t v) {
+    return v + 1 < V ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, last);
+  };
+  const __m256d bv = _mm256_set1_pd(beta);
+  __m256d acc[R][V];
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[r][v] = _mm256_mul_pd(load(c + r * ldc + v * kW, v), bv);
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* bp = b + p * ldb;
+    __m256d bl[V];
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < V; ++v) bl[v] = load(bp + v * kW, v);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256d ar = _mm256_set1_pd(alpha * a[r * lda + p]);
+#pragma GCC unroll 2
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(ar, bl[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < V; ++v) {
+      double* cp = c + r * ldc + v * kW;
+      if (v + 1 < V) {
+        _mm256_storeu_pd(cp, acc[r][v]);
+      } else {
+        _mm256_maskstore_pd(cp, last, acc[r][v]);
+      }
+    }
+  }
+}
+
+using GemmTile = void (*)(std::size_t, double, const double*, std::size_t,
+                          const double*, std::size_t, double, double*,
+                          std::size_t, __m256i);
+
+// [log2 rows][vectors - 1]: the full tile and the edge tiles. A block's
+// last rows run in tiles of the largest heights that fit (2, 1).
+constexpr GemmTile kGemmTiles[3][kNv] = {
+    {gemm_tile<1, 1>, gemm_tile<1, 2>},
+    {gemm_tile<2, 1>, gemm_tile<2, 2>},
+    {gemm_tile<4, 1>, gemm_tile<4, 2>},
+};
+
+void gemm_block(std::size_t rows, std::size_t cols, std::size_t k,
+                double alpha, const double* a, std::size_t lda,
+                const double* b, std::size_t ldb, double beta, double* c,
+                std::size_t ldc) {
+  for (std::size_t i = 0; i < rows;) {
+    const std::size_t h = std::bit_floor(std::min(kMr, rows - i));
+    const GemmTile* tiles = kGemmTiles[std::countr_zero(h)];
+    for (std::size_t j = 0; j < cols; j += kNr) {
+      const std::size_t w = std::min(kNr, cols - j);
+      const std::size_t nv = (w + kW - 1) / kW;
+      // Lane l is live when l < the last vector's width (sign bit set).
+      const auto live = static_cast<long long>(w - (nv - 1) * kW);
+      const __m256i last = _mm256_cmpgt_epi64(
+          _mm256_set1_epi64x(live), _mm256_set_epi64x(3, 2, 1, 0));
+      tiles[nv - 1](k, alpha, a + i * lda, lda, b + j, ldb, beta,
+                    c + i * ldc + j, ldc, last);
+    }
+    i += h;
+  }
 }
 
 // ---- fma tier ----
@@ -233,25 +313,14 @@ double nrm2_fast(const double* x, std::size_t n) {
   return amax * std::sqrt(ssq);
 }
 
-void axpy_acc_fast(double* acc, const double* x, double w, std::size_t n) {
-  const __m256d wv = _mm256_set1_pd(w);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256d a = _mm256_loadu_pd(acc + i);
-    _mm256_storeu_pd(acc + i,
-                     _mm256_fmadd_pd(wv, _mm256_loadu_pd(x + i), a));
-  }
-  for (; i < n; ++i) acc[i] += w * x[i];
-}
-
 }  // namespace
 
 bool avx2_compiled() { return true; }
 
 const Kernels& avx2_kernels() {
   static const Kernels table = {
-      dist2_block, quad_block,  axpy_acc, add_acc,   moments_acc, scale,
-      row_dots,    stencil_row, dot_fast, nrm2_fast, axpy_acc_fast,
+      dist2_block, quad_block,  axpy_acc,   add_acc,  moments_acc,
+      row_dots,    stencil_row, gemm_block, dot_fast, nrm2_fast,
   };
   return table;
 }

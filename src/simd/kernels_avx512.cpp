@@ -10,6 +10,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -103,15 +104,6 @@ void moments_acc(double* p1, double* p2, const double* x, double r,
   }
 }
 
-void scale(double* v, double s, std::size_t n) {
-  const __m512d sv = _mm512_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    _mm512_storeu_pd(v + i, _mm512_mul_pd(_mm512_loadu_pd(v + i), sv));
-  }
-  for (; i < n; ++i) v[i] *= s;
-}
-
 void row_dots(const double* a, std::size_t lda, std::size_t rows,
               std::size_t d, const double* x, double* out) {
   std::size_t r = 0;
@@ -162,6 +154,93 @@ double stencil_row(double* out, const double* mid, const double* up,
     max_update = std::max(max_update, std::fabs(v - mid[c]));
   }
   return max_update;
+}
+
+// gemm: an R x V tile — R rows of C, V vectors of kW columns each — stays
+// in R*V registers for the whole p loop (8 x 3 = 24 of the 32 zmm at full
+// size, leaving room for the B row and the broadcast A value). `last`
+// marks the lanes of the last vector inside the block; the other lanes
+// compute on zeros and are never stored. Per lane the operations are
+// ref::gemm_block's: c * beta, then c + (alpha * a) * b in ascending p,
+// unfused.
+constexpr std::size_t kMr = 8;         // tile rows
+constexpr std::size_t kNv = 3;         // tile vectors
+constexpr std::size_t kNr = kNv * kW;  // tile columns
+
+template <std::size_t R, std::size_t V>
+void gemm_tile(std::size_t k, double alpha, const double* a, std::size_t lda,
+               const double* b, std::size_t ldb, double beta, double* c,
+               std::size_t ldc, __mmask8 last) {
+  const auto load = [last](const double* p, std::size_t v) {
+    return v + 1 < V ? _mm512_loadu_pd(p) : _mm512_maskz_loadu_pd(last, p);
+  };
+  const __m512d bv = _mm512_set1_pd(beta);
+  __m512d acc[R][V];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 3
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[r][v] = _mm512_mul_pd(load(c + r * ldc + v * kW, v), bv);
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* bp = b + p * ldb;
+    __m512d bl[V];
+#pragma GCC unroll 3
+    for (std::size_t v = 0; v < V; ++v) bl[v] = load(bp + v * kW, v);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m512d ar = _mm512_set1_pd(alpha * a[r * lda + p]);
+#pragma GCC unroll 3
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_add_pd(acc[r][v], _mm512_mul_pd(ar, bl[v]));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 3
+    for (std::size_t v = 0; v < V; ++v) {
+      double* cp = c + r * ldc + v * kW;
+      if (v + 1 < V) {
+        _mm512_storeu_pd(cp, acc[r][v]);
+      } else {
+        _mm512_mask_storeu_pd(cp, last, acc[r][v]);
+      }
+    }
+  }
+}
+
+using GemmTile = void (*)(std::size_t, double, const double*, std::size_t,
+                          const double*, std::size_t, double, double*,
+                          std::size_t, __mmask8);
+
+// [log2 rows][vectors - 1]: the full tile and the edge tiles. A block's
+// last rows run in tiles of the largest heights that fit (4, 2, 1).
+constexpr GemmTile kGemmTiles[4][kNv] = {
+    {gemm_tile<1, 1>, gemm_tile<1, 2>, gemm_tile<1, 3>},
+    {gemm_tile<2, 1>, gemm_tile<2, 2>, gemm_tile<2, 3>},
+    {gemm_tile<4, 1>, gemm_tile<4, 2>, gemm_tile<4, 3>},
+    {gemm_tile<8, 1>, gemm_tile<8, 2>, gemm_tile<8, 3>},
+};
+
+void gemm_block(std::size_t rows, std::size_t cols, std::size_t k,
+                double alpha, const double* a, std::size_t lda,
+                const double* b, std::size_t ldb, double beta, double* c,
+                std::size_t ldc) {
+  for (std::size_t i = 0; i < rows;) {
+    const std::size_t h = std::bit_floor(std::min(kMr, rows - i));
+    const GemmTile* tiles = kGemmTiles[std::countr_zero(h)];
+    for (std::size_t j = 0; j < cols; j += kNr) {
+      const std::size_t w = std::min(kNr, cols - j);
+      const std::size_t nv = (w + kW - 1) / kW;
+      const auto last =
+          static_cast<__mmask8>((1u << (w - (nv - 1) * kW)) - 1u);
+      tiles[nv - 1](k, alpha, a + i * lda, lda, b + j, ldb, beta,
+                    c + i * ldc + j, ldc, last);
+    }
+    i += h;
+  }
 }
 
 // ---- fma tier ----
@@ -217,25 +296,14 @@ double nrm2_fast(const double* x, std::size_t n) {
   return amax * std::sqrt(ssq);
 }
 
-void axpy_acc_fast(double* acc, const double* x, double w, std::size_t n) {
-  const __m512d wv = _mm512_set1_pd(w);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m512d a = _mm512_loadu_pd(acc + i);
-    _mm512_storeu_pd(acc + i,
-                     _mm512_fmadd_pd(wv, _mm512_loadu_pd(x + i), a));
-  }
-  for (; i < n; ++i) acc[i] += w * x[i];
-}
-
 }  // namespace
 
 bool avx512_compiled() { return true; }
 
 const Kernels& avx512_kernels() {
   static const Kernels table = {
-      dist2_block, quad_block,  axpy_acc, add_acc,   moments_acc, scale,
-      row_dots,    stencil_row, dot_fast, nrm2_fast, axpy_acc_fast,
+      dist2_block, quad_block,  axpy_acc,   add_acc,  moments_acc,
+      row_dots,    stencil_row, gemm_block, dot_fast, nrm2_fast,
   };
   return table;
 }

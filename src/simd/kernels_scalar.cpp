@@ -10,10 +10,10 @@ namespace prs::simd {
 const Kernels& scalar_kernels() {
   static const Kernels table = {
       ref::dist2_block, ref::quad_block,  ref::axpy_acc,
-      ref::add_acc,     ref::moments_acc, ref::scale,
-      ref::row_dots,    ref::stencil_row,
+      ref::add_acc,     ref::moments_acc, ref::row_dots,
+      ref::stencil_row, ref::gemm_block,
       // fma tier: deterministic references at the scalar level.
-      ref::dot,         ref::nrm2,        ref::axpy_acc,
+      ref::dot,         ref::nrm2,
   };
   return table;
 }

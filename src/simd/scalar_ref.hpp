@@ -59,10 +59,6 @@ inline void moments_acc(double* p1, double* p2, const double* x, double r,
   }
 }
 
-inline void scale(double* v, double s, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) v[i] *= s;
-}
-
 inline void row_dots(const double* a, std::size_t lda, std::size_t rows,
                      std::size_t d, const double* x, double* out) {
   for (std::size_t r = 0; r < rows; ++r) {
@@ -70,6 +66,23 @@ inline void row_dots(const double* a, std::size_t lda, std::size_t rows,
     double acc = 0.0;
     for (std::size_t c = 0; c < d; ++c) acc += row[c] * x[c];
     out[r] = acc;
+  }
+}
+
+/// Row by row: the beta-scaled C row, then one axpy per p — the blas.hpp
+/// gemm order every vector form reproduces element by element.
+inline void gemm_block(std::size_t rows, std::size_t cols, std::size_t k,
+                       double alpha, const double* a, std::size_t lda,
+                       const double* b, std::size_t ldb, double beta,
+                       double* c, std::size_t ldc) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* crow = c + i * ldc;
+    for (std::size_t j = 0; j < cols; ++j) crow[j] *= beta;
+    for (std::size_t p = 0; p < k; ++p) {
+      const double aip = alpha * a[i * lda + p];
+      const double* brow = b + p * ldb;
+      for (std::size_t j = 0; j < cols; ++j) crow[j] += aip * brow[j];
+    }
   }
 }
 

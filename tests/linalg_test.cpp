@@ -1,12 +1,14 @@
 // Unit + property tests for the BLAS-subset kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "exec/thread_pool.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 
@@ -123,10 +125,10 @@ TEST(Blas, FlopCountHelpers) {
   EXPECT_DOUBLE_EQ(gemm_flops(10, 20, 30), 12000.0);
 }
 
-// Property: blocked gemm agrees with naive gemm on random matrices for
-// various shapes and block sizes.
+// Property: blocked gemm writes the bytes of naive gemm on random matrices,
+// whole and split into two row ranges at `split` (clamped to m).
 struct GemmCase {
-  std::size_t m, n, k, block;
+  std::size_t m, n, k, split;
 };
 
 class GemmEquivalence : public ::testing::TestWithParam<GemmCase> {};
@@ -137,46 +139,67 @@ TEST_P(GemmEquivalence, BlockedMatchesNaive) {
   MatrixD a(p.m, p.k), b(p.k, p.n);
   for (auto& v : a.storage()) v = rng.uniform(-1, 1);
   for (auto& v : b.storage()) v = rng.uniform(-1, 1);
-  MatrixD c1(p.m, p.n, 0.5), c2(p.m, p.n, 0.5);
+  MatrixD c1(p.m, p.n, 0.5), c2(p.m, p.n, 0.5), c3(p.m, p.n, 0.5);
   gemm(1.3, a, b, 0.7, c1);
-  gemm_blocked(1.3, a, b, 0.7, c2, p.block);
-  for (std::size_t i = 0; i < c1.size(); ++i) {
-    EXPECT_NEAR(c1.storage()[i], c2.storage()[i], 1e-12);
-  }
+  gemm_blocked(1.3, a, b, 0.7, c2);
+  const std::size_t split = std::min(p.split, p.m);
+  gemm_blocked_rows(1.3, a, b, 0.7, c3, 0, split);
+  gemm_blocked_rows(1.3, a, b, 0.7, c3, split, p.m);
+  EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(c1.data(), c3.data(), c1.size() * sizeof(double)), 0);
 }
 
+// Shapes around the SIMD tiles (4 / 8 rows, 8 / 24 columns) and the
+// 32 x 192 pool chunks, K = 0 (C = beta * C) and K = 1 included.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmEquivalence,
     ::testing::Values(GemmCase{1, 1, 1, 4}, GemmCase{5, 7, 3, 2},
                       GemmCase{16, 16, 16, 8}, GemmCase{33, 17, 29, 8},
-                      GemmCase{64, 64, 64, 64}, GemmCase{10, 100, 1, 16}));
+                      GemmCase{64, 64, 64, 64}, GemmCase{10, 100, 1, 16},
+                      GemmCase{9, 25, 0, 3}, GemmCase{31, 191, 5, 30},
+                      GemmCase{33, 193, 7, 17}, GemmCase{65, 385, 2, 31},
+                      GemmCase{207, 200, 13, 100}));
 
-// gemm_blocked_rows over pieces of the rows writes the bytes of one
-// whole-matrix call and leaves the other rows alone.
+// gemm_blocked_rows over row ranges that cut its chunks and tiles writes
+// the bytes of plain gemm at any pool size, and leaves the other rows
+// alone.
 TEST(Blas, BlockedRowsMatchTheWholeMatrixCall) {
   Rng rng(47);
-  MatrixD a(150, 37), b(37, 90);
+  MatrixD a(150, 37), b(37, 290);
   for (auto& v : a.storage()) v = rng.uniform(-1, 1);
   for (auto& v : b.storage()) v = rng.uniform(-1, 1);
-  MatrixD whole(150, 90, 0.25);
-  gemm_blocked(1.3, a, b, 0.7, whole, 16);
-  MatrixD pieces(150, 90, 0.25);
-  for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 1},
-                              {1, 70}, {70, 70}, {70, 150}}) {
-    gemm_blocked_rows(1.3, a, b, 0.7, pieces, r0, r1, 16);
-  }
-  EXPECT_EQ(std::memcmp(whole.data(), pieces.data(),
-                        whole.size() * sizeof(double)),
-            0);
+  MatrixD want(150, 290, 0.25);
+  gemm(1.3, a, b, 0.7, want);
+  for (const int threads : {1, 2, 4}) {
+    exec::ThreadPool::instance().configure(threads);
+    MatrixD whole(150, 290, 0.25);
+    gemm_blocked(1.3, a, b, 0.7, whole);
+    EXPECT_EQ(std::memcmp(whole.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << threads << " threads";
+    MatrixD pieces(150, 290, 0.25);
+    for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 1},
+                                {1, 7}, {7, 70}, {70, 70}, {70, 103},
+                                {103, 150}}) {
+      gemm_blocked_rows(1.3, a, b, 0.7, pieces, r0, r1);
+    }
+    EXPECT_EQ(std::memcmp(pieces.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << threads << " threads";
 
-  MatrixD part(150, 90, 0.25);
-  const MatrixD untouched(1, 90, 0.25);
-  gemm_blocked_rows(1.3, a, b, 0.7, part, 40, 60, 16);
-  for (std::size_t r = 0; r < part.rows(); ++r) {
-    const double* want = r >= 40 && r < 60 ? whole.row(r) : untouched.row(0);
-    EXPECT_EQ(std::memcmp(part.row(r), want, 90 * sizeof(double)), 0)
-        << "row " << r;
+    MatrixD part(150, 290, 0.25);
+    const MatrixD untouched(1, 290, 0.25);
+    gemm_blocked_rows(1.3, a, b, 0.7, part, 41, 60);
+    for (std::size_t r = 0; r < part.rows(); ++r) {
+      const double* row = r >= 41 && r < 60 ? want.row(r) : untouched.row(0);
+      EXPECT_EQ(std::memcmp(part.row(r), row, 290 * sizeof(double)), 0)
+          << "row " << r << ", " << threads << " threads";
+    }
   }
+  exec::ThreadPool::instance().configure(0);
+  MatrixD part(150, 290, 0.25);
   EXPECT_THROW(gemm_blocked_rows(1.0, a, b, 0.0, part, 60, 40),
                InvalidArgument);
   EXPECT_THROW(gemm_blocked_rows(1.0, a, b, 0.0, part, 0, 151),

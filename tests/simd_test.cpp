@@ -9,6 +9,7 @@
 // via PRS_SIMD.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -193,12 +194,6 @@ TEST_F(SimdTest, ElementwiseKernelsBitIdenticalAcrossLevels) {
         ASSERT_TRUE(bits_equal(got[i], want[i])) << "moments p1 n=" << n;
         ASSERT_TRUE(bits_equal(g2[i], w2[i])) << "moments p2 n=" << n;
       }
-
-      kn.scale(got.data(), 0.9375, n);
-      simd::ref::scale(want.data(), 0.9375, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(bits_equal(got[i], want[i])) << "scale n=" << n;
-      }
     }
   }
 }
@@ -245,6 +240,54 @@ TEST_F(SimdTest, StencilRowBitIdenticalAcrossLevels) {
         ASSERT_TRUE(bits_equal(got[c], want[c]))
             << "stencil level=" << simd::level_name(level)
             << " cols=" << cols << " c=" << c;
+      }
+    }
+  }
+}
+
+// gemm_block against the reference: every tile shape and edge (rows
+// around the 4- and 8-row tiles, columns around the 8- and 24-column
+// tiles), K = 0 (c * beta only) and K = 1, padded leading dimensions, and a
+// C seeded with -0.0, NaN and +-Inf. A NaN C stays NaN even at beta = 0 and
+// an infinite one turns NaN there, so the c * beta step is pinned as well
+// as the order of the rest. A and B stay finite: no sum ever has two NaN
+// operands, whose result bits would depend on which one comes first.
+TEST_F(SimdTest, GemmBlockBitIdenticalAcrossLevels) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {-0.0, std::numeric_limits<double>::quiet_NaN(),
+                             inf, -inf};
+  struct Scalars {
+    double alpha, beta;
+  };
+  for (const simd::Level level : supported_levels()) {
+    const simd::Kernels& kn = simd::kernels_for(level);
+    for (const std::size_t rows : {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul,
+                                   15ul, 16ul, 17ul}) {
+      for (const std::size_t cols : {1ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul, 16ul,
+                                     23ul, 24ul, 25ul, 47ul, 49ul}) {
+        for (const std::size_t k : {0ul, 1ul, 2ul, 9ul}) {
+          for (const Scalars sc : {Scalars{1.25, -0.75}, Scalars{1.0, 0.0}}) {
+            const std::size_t lda = k + 3, ldb = cols + 5, ldc = cols + 2;
+            std::vector<double> a(rows * lda), b(std::max(k, 1ul) * ldb);
+            std::vector<double> got(rows * ldc);
+            for (std::size_t i = 0; i < a.size(); ++i) a[i] = synth(i + 5);
+            for (std::size_t i = 0; i < b.size(); ++i) b[i] = synth(i + 17);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              got[i] = i % 5 == 0 ? specials[(i / 5) % 4] : synth(i + 29);
+            }
+            std::vector<double> want = got;
+            kn.gemm_block(rows, cols, k, sc.alpha, a.data(), lda, b.data(),
+                          ldb, sc.beta, got.data(), ldc);
+            simd::ref::gemm_block(rows, cols, k, sc.alpha, a.data(), lda,
+                                  b.data(), ldb, sc.beta, want.data(), ldc);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(double)),
+                      0)
+                << "gemm_block level=" << simd::level_name(level)
+                << " rows=" << rows << " cols=" << cols << " k=" << k
+                << " alpha=" << sc.alpha << " beta=" << sc.beta;
+          }
+        }
       }
     }
   }
@@ -314,28 +357,6 @@ TEST_F(SimdTest, FmaNrm2MatchesContractAndBound) {
   }
 }
 
-TEST_F(SimdTest, FmaAxpyWithinRelativeBound) {
-  for (const simd::Level level : supported_levels()) {
-    const simd::Kernels& kn = simd::kernels_for(level);
-    const std::size_t n = 257;
-    std::vector<double> got(n), want(n), x(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      got[i] = want[i] = synth(i);
-      x[i] = synth(i + 77);
-    }
-    kn.axpy_acc_fast(got.data(), x.data(), 1.5, n);
-    simd::ref::axpy_acc(want.data(), x.data(), 1.5, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // One fused vs one rounded multiply-add: the difference is the
-      // rounding of the product, so bound it by the term magnitudes (the
-      // sum may cancel to far below |1.5 * x[i]|).
-      EXPECT_NEAR(got[i], want[i],
-                  2.0 * std::numeric_limits<double>::epsilon() *
-                      (std::fabs(want[i]) + std::fabs(1.5 * x[i])));
-    }
-  }
-}
-
 // -- linalg::nrm2 special-value contract (the satellite bugfix) --------------
 
 TEST_F(SimdTest, Nrm2InfinityYieldsInfNotNaN) {
@@ -361,69 +382,60 @@ TEST_F(SimdTest, Nrm2InfinityYieldsInfNotNaN) {
   EXPECT_DOUBLE_EQ(linalg::nrm2<double>(equal), 10.0);
 }
 
-// -- gemm_blocked tail blocks (the satellite audit) --------------------------
+// -- gemm_blocked: pool chunks of gemm_block tiles ---------------------------
 
 TEST_F(SimdTest, GemmBlockedMatchesPlainGemmAtTailSizes) {
   exec::ThreadPool::instance().configure(3);
-  simd::set_fma_allowed(false);
   for (const simd::Level level : supported_levels()) {
     simd::set_level(level);
-    for (const std::size_t n : {1ul, 63ul, 64ul, 65ul, 97ul, 101ul}) {
+    // Dims around the 32 x 192 chunks and the tiles, with odd row counts.
+    for (const std::size_t n : {1ul, 31ul, 63ul, 64ul, 65ul, 97ul, 101ul,
+                                191ul, 193ul}) {
       const std::size_t m = (n % 2 == 0) ? n + 1 : n;  // exercise odd rows
       const std::size_t k = (n >= 64) ? n - 1 : n + 2;
       linalg::MatrixD a(m, k), b(k, n), c1(m, n, 0.5), c2(m, n, 0.5);
       for (std::size_t i = 0; i < m * k; ++i) a.storage()[i] = synth(i);
       for (std::size_t i = 0; i < k * n; ++i) b.storage()[i] = synth(i + 9);
       linalg::gemm(1.25, a, b, 0.75, c1);
-      linalg::gemm_blocked(1.25, a, b, 0.75, c2, 64);
+      linalg::gemm_blocked(1.25, a, b, 0.75, c2);
       for (std::size_t i = 0; i < m * n; ++i) {
         ASSERT_TRUE(bits_equal(c1.storage()[i], c2.storage()[i]))
             << "gemm_blocked level=" << simd::level_name(level)
             << " n=" << n << " elem=" << i;
       }
-      // Block sizes bracketing the dims hit every tail-shape combination.
-      for (const std::size_t block : {1ul, 63ul, 65ul, 128ul}) {
-        linalg::MatrixD c3(m, n, 0.5);
-        linalg::gemm_blocked(1.25, a, b, 0.75, c3, block);
-        for (std::size_t i = 0; i < m * n; ++i) {
-          ASSERT_TRUE(bits_equal(c1.storage()[i], c3.storage()[i]))
-              << "gemm_blocked block=" << block << " n=" << n;
-        }
+      // Row ranges of 1, 7, 26, 33 and 9 rows in turn cut the chunks and
+      // tiles at every offset.
+      linalg::MatrixD c3(m, n, 0.5);
+      const std::size_t piece[] = {1, 7, 26, 33, 9};
+      for (std::size_t r0 = 0, p = 0; r0 < m; ++p) {
+        const std::size_t r1 = std::min(m, r0 + piece[p % 5]);
+        linalg::gemm_blocked_rows(1.25, a, b, 0.75, c3, r0, r1);
+        r0 = r1;
+      }
+      for (std::size_t i = 0; i < m * n; ++i) {
+        ASSERT_TRUE(bits_equal(c1.storage()[i], c3.storage()[i]))
+            << "gemm_blocked_rows level=" << simd::level_name(level)
+            << " n=" << n << " elem=" << i;
       }
     }
   }
+  exec::ThreadPool::instance().configure(0);
 }
 
-TEST_F(SimdTest, GemmBlockedFmaWithinRelativeBound) {
-  simd::set_fma_allowed(true);
+// gemm has no fused path: the fma opt-in changes dot and nrm2 only.
+TEST_F(SimdTest, GemmBlockedIgnoresFmaFlag) {
   const std::size_t m = 33, k = 65, n = 31;
-  linalg::MatrixD a(m, k), b(k, n), want(m, n, 0.0), got(m, n, 0.0);
+  linalg::MatrixD a(m, k), b(k, n), want(m, n, 0.5);
   for (std::size_t i = 0; i < m * k; ++i) a.storage()[i] = synth(i);
   for (std::size_t i = 0; i < k * n; ++i) b.storage()[i] = synth(i + 9);
-  {
-    simd::set_fma_allowed(false);
-    linalg::gemm(1.0, a, b, 0.0, want);
-    simd::set_fma_allowed(true);
-  }
-  linalg::gemm_blocked(1.0, a, b, 0.0, got, 16);
-  // The bound must scale with the magnitude of the accumulated terms, not
-  // the (possibly cancelled) result: mag(i,j) = sum_k |a(i,k)*b(k,j)|.
-  linalg::MatrixD aa(m, k), ab(k, n), mag(m, n, 0.0);
-  for (std::size_t i = 0; i < m * k; ++i)
-    aa.storage()[i] = std::fabs(a.storage()[i]);
-  for (std::size_t i = 0; i < k * n; ++i)
-    ab.storage()[i] = std::fabs(b.storage()[i]);
-  {
-    simd::set_fma_allowed(false);
-    linalg::gemm(1.0, aa, ab, 0.0, mag);
-    simd::set_fma_allowed(true);
-  }
-  for (std::size_t i = 0; i < m * n; ++i) {
-    EXPECT_NEAR(got.storage()[i], want.storage()[i],
-                static_cast<double>(k) *
-                        std::numeric_limits<double>::epsilon() *
-                        mag.storage()[i] +
-                    1e-300);
+  linalg::gemm(1.25, a, b, 0.75, want);
+  simd::set_fma_allowed(true);
+  for (const simd::Level level : supported_levels()) {
+    simd::set_level(level);
+    linalg::MatrixD got(m, n, 0.5);
+    linalg::gemm_blocked(1.25, a, b, 0.75, got);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), m * n * sizeof(double)), 0)
+        << "level=" << simd::level_name(level);
   }
 }
 

@@ -78,9 +78,9 @@ usage: prs_run [options]
                       auto (default; also $PRS_SIMD). Deterministic-tier
                       kernels are byte-identical across levels; requesting
                       an unsupported level fails loudly
-  --simd-fma          allow fused/reassociated (FMA) kernels in dot/nrm2/
-                      gemm hot loops (also $PRS_SIMD_FMA=1). Faster, but
-                      waives cross-level bit-identity (ULP-bounded)
+  --simd-fma          allow fused/reassociated (FMA) kernels in the dot/nrm2
+                      hot loops (also $PRS_SIMD_FMA=1). Faster, but waives
+                      cross-level bit-identity (ULP-bounded)
   --simd-calibrate    micro-benchmark the host vector speedup and scale the
                       roofline CPU rate Fc in the Eq (8) split by it
   --numa=MODE         NUMA-aware host execution: on | off (default; also
