@@ -8,9 +8,9 @@
 // path at every compiled-and-supported level, and reports:
 //
 //   * best-of-3 wall-clock per level with the speedup vs. scalar;
-//   * a byte-identity verdict — the deterministic kernel tier is
-//     lane-per-output with scalar-order accumulation, so every level must
-//     produce the same bytes;
+//   * a byte-identity verdict — every kernel is lane-per-output with
+//     scalar-order accumulation, so every level must produce the same
+//     bytes;
 //   * the acceptance check: AVX2 >= 1.5x scalar on at least two of
 //     {cmeans, kmeans, gmm, dgemm}.
 //
@@ -91,7 +91,7 @@ linalg::MatrixD synth_points(std::size_t n, std::size_t d, std::uint64_t seed) {
 int main() {
   bench::print_header(
       "Ablation — SIMD inner kernels: single-thread speedup per ISA level",
-      "Pool pinned to 1 thread; deterministic (non-FMA) tier, so all levels "
+      "Pool pinned to 1 thread; kernels keep the scalar order, so all levels "
       "must be byte-identical. Acceptance: AVX2 >= 1.5x scalar on >= 2 of "
       "{cmeans, kmeans, gmm, dgemm}.");
 

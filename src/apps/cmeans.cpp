@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "core/calibration.hpp"
 #include "exec/parallel.hpp"
-#include "exec/prefault.hpp"
 #include "linalg/blas.hpp"
 #include "simd/kernels.hpp"
 
@@ -328,12 +327,6 @@ CmeansResult cmeans_prs(core::Cluster& cluster, const linalg::MatrixD& points,
                         const ckpt::CheckpointConfig* checkpoint) {
   validate_params(points, params);
   const std::size_t d = points.cols();
-
-  // NUMA mode: walk the points matrix from the lanes that will iterate
-  // over it, so each socket's caches/TLBs are primed with its share
-  // before the first accumulate pass (no-op when PRS_NUMA is off).
-  exec::prefault_first_touch(points.data(),
-                             points.rows() * points.cols() * sizeof(double));
 
   auto state = std::make_shared<CmeansState>();
   state->points = &points;

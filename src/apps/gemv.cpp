@@ -6,7 +6,6 @@
 #include "core/calibration.hpp"
 #include "exec/parallel.hpp"
 #include "linalg/blas.hpp"
-#include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 
 namespace prs::apps {
@@ -47,22 +46,13 @@ GemvSpec gemv_spec(std::shared_ptr<GemvState> state, std::size_t cols) {
     // Each row writes its own segment slot: trivially byte-identical for
     // any host thread count. row_dots accumulates each lane's row in the
     // same ascending-column order as the scalar dot, so it is also
-    // byte-identical across SIMD levels; the fused per-row dot kernel is
-    // only reachable through the explicit fma opt-in.
+    // byte-identical across SIMD levels.
     const simd::Kernels& kn = simd::active_kernels();
-    const bool fma = simd::fma_allowed();
     exec::parallel_for(s.begin, s.end, kRowGrain,
                        [&](std::size_t rb, std::size_t re) {
-                         if (fma) {
-                           for (std::size_t r = rb; r < re; ++r) {
-                             segment[r - s.begin] =
-                                 kn.dot_fast(a.row(r), x.data(), a.cols());
-                           }
-                         } else {
-                           kn.row_dots(a.row(rb), a.cols(), re - rb, a.cols(),
-                                       x.data(),
-                                       segment.data() + (rb - s.begin));
-                         }
+                         kn.row_dots(a.row(rb), a.cols(), re - rb, a.cols(),
+                                     x.data(),
+                                     segment.data() + (rb - s.begin));
                        });
     e.emit(static_cast<long>(s.begin), std::move(segment));
   };

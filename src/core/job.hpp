@@ -200,12 +200,6 @@ struct JobConfig {
   /// paper-calibrated split untouched; `prs_run --simd-calibrate` sets it
   /// from simd::measure_host_speedup().
   double host_simd_scale = 1.0;
-
-  /// Host NUMA mode for this job: -1 (default) inherits the process-wide
-  /// setting (`--numa` / PRS_NUMA), 0 forces it off, 1 forces it on for
-  /// the duration of the job (numa::ScopedEnable in run_job). Placement
-  /// only — results are byte-identical either way (DESIGN.md §4k).
-  int host_numa = -1;
 };
 
 /// Utilization and cost accounting for one job (or one iteration batch).

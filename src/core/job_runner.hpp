@@ -20,11 +20,9 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/fault_tolerant.hpp"
-#include "numa/topology.hpp"
 #include "core/job_graph.hpp"
 #include "core/partitioner.hpp"
 #include "core/pipeline.hpp"
@@ -176,11 +174,6 @@ JobResult<K, V> run_job(Cluster& cluster, const MapReduceSpec<K, V>& spec,
   spec.validate();
   PRS_REQUIRE(cfg.use_cpu || cfg.use_gpu, "job needs at least one backend");
   PRS_REQUIRE(n_items > 0, "job needs a non-empty input");
-
-  // Per-job NUMA override: hold the enablement for the whole job (every
-  // path below shares this scope), restoring the prior state on return.
-  std::optional<numa::ScopedEnable> numa_scope;
-  if (cfg.host_numa >= 0) numa_scope.emplace(cfg.host_numa == 1);
 
   auto& sim = cluster.simulator();
 

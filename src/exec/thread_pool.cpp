@@ -1,15 +1,8 @@
 #include "exec/thread_pool.hpp"
 
 #include <cstdlib>
-#include <string>
-#include <utility>
 
 #include "common/error.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace prs::exec {
 namespace {
@@ -23,24 +16,6 @@ thread_local bool tl_in_region = false;
 /// everything else (the submitter included) is lane 0. Nested regions run
 /// inline, so the value is stable across arbitrary kernel composition.
 thread_local int tl_lane = 0;
-
-/// Best-effort pin of `worker` to `cpu`. Failure (cgroup masks, exotic
-/// kernels, non-Linux hosts) is the documented clean fallback: the lane
-/// keeps its socket group and steal order, it just floats.
-bool pin_thread(std::thread& worker, int cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (cpu < 0 || cpu >= CPU_SETSIZE) return false;
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(worker.native_handle(), sizeof(set), &set) ==
-         0;
-#else
-  (void)worker;
-  (void)cpu;
-  return false;
-#endif
-}
 
 }  // namespace
 
@@ -108,48 +83,15 @@ void ThreadPool::stop_workers() {
   stopping_ = false;
 }
 
-void ThreadPool::refresh_placement() {
-  const bool want = numa::enabled();
-  if (!want) {
-    // NUMA off (the default): nothing to compare — but if the running
-    // workers were placed under NUMA mode, restart them flat.
-    if (numa_applied_ && !workers_.empty()) stop_workers();
-    numa_applied_ = false;
-    return;
-  }
-  numa::Topology topo = numa::active_topology();
-  if (numa_applied_ && topo == applied_topo_) return;
-  if (!workers_.empty()) stop_workers();
-  numa_applied_ = true;
-  applied_topo_ = std::move(topo);
-}
-
 void ThreadPool::start_workers_locked() {
-  // Placement decisions for this worker generation: socket groups, steal
-  // order and pin targets all come from the lane map — flat (pre-NUMA
-  // behaviour) unless NUMA mode applied a topology.
-  lane_map_ = numa_applied_ ? numa::build_lane_map(threads_, applied_topo_)
-                            : numa::flat_lane_map(threads_);
   // Lane 0 is the submitting thread; lanes 1..threads-1 get workers.
   lanes_.clear();
   for (int i = 0; i < threads_; ++i) {
     lanes_.push_back(std::make_unique<Lane>());
   }
-  int pinned = 0;
   for (int i = 1; i < threads_; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
-    // Pin from outside before the worker runs any chunk. Lane 0 (the
-    // caller's own thread) is never pinned — the pool must not change
-    // the affinity of a thread it does not own.
-    if (lane_map_.pin && lane_map_.cpu_of[static_cast<std::size_t>(i)] >= 0 &&
-        pin_thread(workers_.back(),
-                   lane_map_.cpu_of[static_cast<std::size_t>(i)])) {
-      ++pinned;
-    }
   }
-  std::lock_guard<std::mutex> slock(stats_mutex_);
-  stats_.sockets = lane_map_.sockets;
-  stats_.pinned_lanes = pinned;
 }
 
 void ThreadPool::worker_loop(int lane) {
@@ -182,41 +124,28 @@ void ThreadPool::worker_loop(int lane) {
 }
 
 std::uint64_t ThreadPool::drain(int lane) {
-  // Own lane first, then the rest of the lane map's probe order: the rest
-  // of this lane's socket group, then remote sockets — under the flat map
-  // this degenerates to the original (lane + probe) % n round-robin.
-  // Chunk claim order is irrelevant for results: each chunk fills its own
-  // output slot and combination order is fixed by the caller.
-  const auto& order = lane_map_.probe_order[static_cast<std::size_t>(lane)];
-  const int my_socket = lane_map_.socket_of[static_cast<std::size_t>(lane)];
-  const bool steal = job_->steal_allowed();
+  // Own lane first, then the others in round-robin order. Chunk claim
+  // order is irrelevant for results: each chunk fills its own output slot
+  // and combination order is fixed by the caller.
+  const std::size_t n = lanes_.size();
+  const auto self = static_cast<std::size_t>(lane);
   std::uint64_t ran = 0;
-  std::uint64_t local = 0;
-  std::uint64_t remote = 0;
-  for (const int victim : order) {
-    if (!steal && victim != lane) break;  // no-steal job: own block only
-    Lane& q = *lanes_[static_cast<std::size_t>(victim)];
+  std::uint64_t stolen = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t victim = (self + k) % n;
+    Lane& q = *lanes_[victim];
     for (;;) {
       const std::size_t claimed =
           q.next.fetch_add(1, std::memory_order_relaxed);
       if (claimed >= q.end) break;
       execute_chunk(q.base + claimed);
       ++ran;
-      if (victim != lane) {
-        const int vs = lane_map_.socket_of[static_cast<std::size_t>(victim)];
-        if (vs == my_socket) {
-          ++local;
-        } else {
-          ++remote;
-        }
-      }
+      if (victim != self) ++stolen;
     }
   }
-  if (local + remote > 0) {
+  if (stolen > 0) {
     std::lock_guard<std::mutex> slock(stats_mutex_);
-    stats_.stolen_chunks += local + remote;
-    stats_.steals_local += local;
-    stats_.steals_remote += remote;
+    stats_.stolen_chunks += stolen;
   }
   return ran;
 }
@@ -280,7 +209,6 @@ void ThreadPool::run(detail::ParallelJob& job) {
 
   // Only one top-level region runs at a time; concurrent submitters queue.
   std::lock_guard<std::mutex> submit_lock(submit_mutex_);
-  refresh_placement();
   {
     std::unique_lock<std::mutex> lock(mutex_);
     PRS_CHECK(job_ == nullptr, "ThreadPool::run re-entered");
@@ -354,13 +282,8 @@ PoolStats ThreadPool::stats() const {
 
 void ThreadPool::reset_stats() {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  const int sockets = stats_.sockets;
-  const int pinned = stats_.pinned_lanes;
   stats_ = PoolStats{};
   stats_.threads = threads_;
-  // Gauges describing the current worker generation, not counters.
-  stats_.sockets = sockets;
-  stats_.pinned_lanes = pinned;
 }
 
 }  // namespace prs::exec

@@ -36,8 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "numa/topology.hpp"
-
 namespace prs::exec {
 
 /// Cumulative pool counters (monotonic since process start / reset_stats).
@@ -49,14 +47,10 @@ struct PoolStats {
   std::uint64_t nested_jobs = 0;      ///< regions flattened to inline serial
   std::uint64_t chunks = 0;           ///< chunks executed, all lanes
   std::uint64_t stolen_chunks = 0;    ///< chunks taken from another lane
-  std::uint64_t steals_local = 0;     ///< ... from a lane on the same socket
-  std::uint64_t steals_remote = 0;    ///< ... from a lane on another socket
   std::uint64_t caller_chunks = 0;    ///< chunks run by the submitting thread
   std::uint64_t lane_engagements = 0; ///< sum over jobs of lanes that ran >=1 chunk
   std::uint64_t lane_slots = 0;       ///< sum over jobs of lanes available
   int threads = 1;                    ///< configured concurrency (incl. caller)
-  int sockets = 1;                    ///< socket groups in the active lane map
-  int pinned_lanes = 0;               ///< worker lanes pinned to a CPU
 
   /// Mean fraction of available lanes that did useful work per parallel
   /// region. Slots are accumulated per job, so the ratio stays in [0, 1]
@@ -76,22 +70,14 @@ namespace detail {
 /// reporting is deterministic too.
 class ParallelJob {
  public:
-  /// `steal_allowed = false` turns stealing off for this job: every lane
-  /// runs exactly its own block and nothing else. With chunks == lanes
-  /// this guarantees chunk i executes *on* lane i — the placement tool
-  /// prefault_first_touch needs (completion then requires every worker
-  /// to participate, so keep such jobs short).
-  explicit ParallelJob(std::size_t chunks, bool steal_allowed = true)
-      : chunks_(chunks), steal_allowed_(steal_allowed) {}
+  explicit ParallelJob(std::size_t chunks) : chunks_(chunks) {}
   virtual ~ParallelJob() = default;
   virtual void run_chunk(std::size_t chunk) = 0;
 
   std::size_t chunks() const { return chunks_; }
-  bool steal_allowed() const { return steal_allowed_; }
 
  private:
   std::size_t chunks_;
-  bool steal_allowed_;
 };
 
 }  // namespace detail
@@ -156,11 +142,6 @@ class ThreadPool {
 
   void start_workers_locked();
   void stop_workers();
-  /// Samples numa::enabled()/active_topology() and, when the placement
-  /// mode changed since the workers started, joins them so the next
-  /// start_workers_locked() rebuilds the lane map (and re-pins) under the
-  /// new mode. Called at top-level submit, before mutex_ is taken.
-  void refresh_placement();
   void worker_loop(int lane);
   /// Claims and runs chunks for `lane` until the job is drained; returns
   /// the number of chunks this lane executed.
@@ -183,16 +164,6 @@ class ThreadPool {
   bool stopping_ = false;
   int threads_ = 1;
   std::mutex submit_mutex_;  // serializes concurrent top-level submitters
-
-  /// Per-lane placement decisions for the current worker generation —
-  /// socket groups, steal order, pin targets. Rebuilt by
-  /// start_workers_locked() from (threads_, NUMA mode); flat (pre-NUMA
-  /// behaviour) when NUMA mode is off. Guarded by submit_mutex_ +
-  /// worker lifecycle: workers only read it between check-in and
-  /// check-out of a job.
-  numa::LaneMap lane_map_;
-  bool numa_applied_ = false;      // lane_map_ built from applied_topo_
-  numa::Topology applied_topo_;    // topology lane_map_ was built from
 
   // Stats (guarded by stats_mutex_ where not atomic).
   mutable std::mutex stats_mutex_;

@@ -14,7 +14,6 @@
 #include "common/error.hpp"
 #include "exec/parallel.hpp"
 #include "linalg/matrix.hpp"
-#include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 
 namespace prs::linalg {
@@ -29,18 +28,10 @@ void axpy(T alpha, std::span<const T> x, std::span<T> y) {
 /// Dot product. Flops: 2n.
 ///
 /// A single running sum cannot vectorize without reassociating, so the
-/// deterministic tier keeps the scalar loop at every SIMD level; the
-/// multi-accumulator fused kernel is only reachable through the explicit
-/// fma opt-in (PRS_SIMD_FMA / --simd-fma), which waives bit-identity for
-/// a documented ULP bound.
+/// scalar loop runs at every SIMD level.
 template <typename T>
 T dot(std::span<const T> x, std::span<const T> y) {
   PRS_REQUIRE(x.size() == y.size(), "dot size mismatch");
-  if constexpr (std::is_same_v<T, double>) {
-    if (simd::fma_allowed()) {
-      return simd::active_kernels().dot_fast(x.data(), y.data(), x.size());
-    }
-  }
   T acc{};
   for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
   return acc;
@@ -58,11 +49,6 @@ T dot(std::span<const T> x, std::span<const T> y) {
 /// contribute nothing and never become the scale).
 template <typename T>
 T nrm2(std::span<const T> x) {
-  if constexpr (std::is_same_v<T, double>) {
-    if (simd::fma_allowed()) {
-      return simd::active_kernels().nrm2_fast(x.data(), x.size());
-    }
-  }
   T scale{};   // largest |x_i| seen so far
   T ssq{1};    // sum of (x_i / scale)^2
   bool any = false;
@@ -114,18 +100,11 @@ void gemv(T alpha, const Matrix<T>& a, std::span<const T> x, T beta,
   if constexpr (std::is_same_v<T, double>) {
     // Lane-per-row: each output row accumulates in the same ascending-c
     // mul+add order as the scalar loop, so row_dots is bit-identical at
-    // every SIMD level. The fused per-row dot is fma-tier only.
+    // every SIMD level.
     if (a.rows() > 0) {
-      const simd::Kernels& kn = simd::active_kernels();
       std::vector<double> acc(a.rows());
-      if (simd::fma_allowed()) {
-        for (std::size_t r = 0; r < a.rows(); ++r) {
-          acc[r] = kn.dot_fast(a.row(r), x.data(), a.cols());
-        }
-      } else {
-        kn.row_dots(a.row(0), a.cols(), a.rows(), a.cols(), x.data(),
-                    acc.data());
-      }
+      simd::active_kernels().row_dots(a.row(0), a.cols(), a.rows(), a.cols(),
+                                      x.data(), acc.data());
       for (std::size_t r = 0; r < a.rows(); ++r) {
         y[r] = alpha * acc[r] + beta * y[r];
       }

@@ -18,10 +18,6 @@ void record_pool_metrics(MetricsRegistry& m, const exec::PoolStats& s) {
   set_counter(m, "exec.pool.chunks", static_cast<double>(s.chunks));
   set_counter(m, "exec.pool.stolen_chunks",
               static_cast<double>(s.stolen_chunks));
-  set_counter(m, "exec.pool.steals_local",
-              static_cast<double>(s.steals_local));
-  set_counter(m, "exec.pool.steals_remote",
-              static_cast<double>(s.steals_remote));
   set_counter(m, "exec.pool.caller_chunks",
               static_cast<double>(s.caller_chunks));
   set_counter(m, "exec.pool.lane_engagements",

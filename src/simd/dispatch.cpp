@@ -11,10 +11,9 @@
 namespace prs::simd {
 namespace {
 
-/// Programmatic overrides; -1 = none. Plain atomics: overrides are set up
+/// Programmatic override; -1 = none. A plain atomic: the override is set up
 /// front (CLI parse, test SetUp) — never while kernels are in flight.
 std::atomic<int> g_level_override{-1};
-std::atomic<int> g_fma_override{-1};
 
 Level detect() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -28,11 +27,6 @@ Level detect() {
   }
 #endif
   return Level::kScalar;
-}
-
-bool truthy(const char* v) {
-  const std::string s = v;
-  return s == "1" || s == "true" || s == "on" || s == "yes";
 }
 
 /// PRS_SIMD resolved once (an env change mid-process is not a supported
@@ -111,24 +105,6 @@ void set_level(const std::string& name) {
 
 void clear_level_override() {
   g_level_override.store(-1, std::memory_order_relaxed);
-}
-
-bool fma_allowed() {
-  const int forced = g_fma_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced == 1;
-  static const bool from_env = [] {
-    const char* e = std::getenv("PRS_SIMD_FMA");
-    return e != nullptr && truthy(e);
-  }();
-  return from_env;
-}
-
-void set_fma_allowed(bool allowed) {
-  g_fma_override.store(allowed ? 1 : 0, std::memory_order_relaxed);
-}
-
-void clear_fma_override() {
-  g_fma_override.store(-1, std::memory_order_relaxed);
 }
 
 const Kernels& kernels_for(Level level) {

@@ -12,13 +12,10 @@
 // cannot execute is an error, never a silent fallback — a mis-set
 // PRS_SIMD on a heterogeneous fleet should fail loudly.
 //
-// Determinism contract (DESIGN.md §4j): every kernel reachable without
-// fma_allowed() produces bit-identical results at all three levels — the
-// vector forms keep the scalar accumulation order per output element and
-// are compiled with -ffp-contract=off. Kernels that reassociate or fuse
-// (multi-accumulator dot, vectorized nrm2) are only dispatched behind the
-// explicit fma_allowed() opt-in (PRS_SIMD_FMA / --simd-fma) and are tested
-// to ULP bounds instead.
+// Determinism contract (DESIGN.md §4j): every kernel produces
+// bit-identical results at all three levels — the vector forms keep the
+// scalar accumulation order per output element and are compiled with
+// -ffp-contract=off.
 #pragma once
 
 #include <string>
@@ -57,14 +54,6 @@ Level active_level();
 void set_level(Level level);
 void set_level(const std::string& name);
 void clear_level_override();
-
-/// FMA-tier opt-in: reassociated/fused kernels (multi-accumulator dot,
-/// vectorized nrm2) are dispatched only when this returns true. Default comes from PRS_SIMD_FMA (1/true/on); at the
-/// scalar level the flag is a no-op (the scalar table points the fast
-/// entries at the deterministic reference).
-bool fma_allowed();
-void set_fma_allowed(bool allowed);
-void clear_fma_override();
 
 /// Wall-clock micro-benchmark of the active level against the scalar
 /// reference on the distance / row-update kernels. Returns the speedup

@@ -8,12 +8,10 @@
 // memory. pack_transposed() below builds that layout; the packing is pure
 // data movement, so results are bit-identical to reading rows directly.
 //
-// Determinism: every kernel above the "fma tier" marker accumulates each
-// output element in exactly the scalar reference order (lane-per-output,
-// separate multiply and add, -ffp-contract=off in the vector TUs), so
-// scalar / AVX2 / AVX-512 produce the same bytes. The fma-tier entries
-// reassociate (multiple accumulators, fused multiply-add) and are only
-// reachable behind simd::fma_allowed().
+// Determinism: every kernel accumulates each output element in exactly
+// the scalar reference order (lane-per-output, separate multiply and add,
+// -ffp-contract=off in the vector TUs), so scalar / AVX2 / AVX-512 produce
+// the same bytes.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +22,6 @@
 namespace prs::simd {
 
 struct Kernels {
-  // ---- deterministic tier: bit-identical across ISA levels ----
-
   /// out[j] = sum_c (x[c] - ct[c*m+j])^2 for j in [0, m) — the cmeans /
   /// kmeans distance row (linalg::squared_distance against every center).
   void (*dist2_block)(const double* x, const double* ct, std::size_t m,
@@ -73,17 +69,6 @@ struct Kernels {
                      double alpha, const double* a, std::size_t lda,
                      const double* b, std::size_t ldb, double beta,
                      double* c, std::size_t ldc);
-
-  // ---- fma tier: reassociated/fused, ULP-bounded vs the reference.
-  //      Call sites must guard with simd::fma_allowed(). In the scalar
-  //      table these point at the deterministic reference. ----
-
-  /// Multi-accumulator fused dot product.
-  double (*dot_fast)(const double* a, const double* b, std::size_t n);
-
-  /// Vectorized two-pass scaled nrm2 (same NaN/Inf/±0 contract as
-  /// linalg::nrm2: any NaN => NaN, else any Inf => +Inf, else finite).
-  double (*nrm2_fast)(const double* x, std::size_t n);
 };
 
 /// The kernel table for one level (scalar table when the level's TU was

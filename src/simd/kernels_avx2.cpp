@@ -2,11 +2,10 @@
 // simd/CMakeLists.txt); when the compiler lacks those flags the table
 // falls back to the scalar reference and avx2_compiled() reports false.
 //
-// Determinism: the deterministic-tier kernels are lane-per-output —
-// vector lane j accumulates output element j over the SAME ascending-c
-// sequence of unfused multiplies and adds as the scalar reference, so
-// each lane reproduces the scalar rounding exactly. Only the fma-tier
-// entries at the bottom use _mm256_fmadd_pd / multiple accumulators.
+// Determinism: the kernels are lane-per-output — vector lane j
+// accumulates output element j over the SAME ascending-c sequence of
+// unfused multiplies and adds as the scalar reference, so each lane
+// reproduces the scalar rounding exactly.
 #include "simd/tables.hpp"
 
 #include "simd/scalar_ref.hpp"
@@ -17,7 +16,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 namespace prs::simd {
 namespace {
@@ -252,75 +250,14 @@ void gemm_block(std::size_t rows, std::size_t cols, std::size_t k,
   }
 }
 
-// ---- fma tier ----
-
-double dot_fast(const double* a, const double* b, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 * kW <= n; i += 4 * kW) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4),
-                           _mm256_loadu_pd(b + i + 4), acc1);
-    acc2 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 8),
-                           _mm256_loadu_pd(b + i + 8), acc2);
-    acc3 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 12),
-                           _mm256_loadu_pd(b + i + 12), acc3);
-  }
-  for (; i + kW <= n; i += kW) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
-                           acc0);
-  }
-  const __m256d acc =
-      _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
-  double lanes[kW];
-  _mm256_storeu_pd(lanes, acc);
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-double nrm2_fast(const double* x, std::size_t n) {
-  // Pass 1 (exact): max magnitude + NaN/Inf screening.
-  double amax = 0.0;
-  bool any_nan = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double av = std::fabs(x[i]);
-    if (std::isnan(av)) any_nan = true;
-    amax = std::max(amax, av);
-  }
-  if (any_nan) return std::numeric_limits<double>::quiet_NaN();
-  if (amax == 0.0) return 0.0;
-  if (std::isinf(amax)) return std::numeric_limits<double>::infinity();
-  // Pass 2: vectorized sum of (x/amax)^2 with fused accumulators.
-  const __m256d av = _mm256_set1_pd(amax);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256d r = _mm256_div_pd(_mm256_loadu_pd(x + i), av);
-    acc = _mm256_fmadd_pd(r, r, acc);
-  }
-  double lanes[kW];
-  _mm256_storeu_pd(lanes, acc);
-  double ssq = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    const double r = x[i] / amax;
-    ssq += r * r;
-  }
-  return amax * std::sqrt(ssq);
-}
-
 }  // namespace
 
 bool avx2_compiled() { return true; }
 
 const Kernels& avx2_kernels() {
   static const Kernels table = {
-      dist2_block, quad_block,  axpy_acc,   add_acc,  moments_acc,
-      row_dots,    stencil_row, gemm_block, dot_fast, nrm2_fast,
+      dist2_block, quad_block,  axpy_acc,   add_acc,
+      moments_acc, row_dots,    stencil_row, gemm_block,
   };
   return table;
 }

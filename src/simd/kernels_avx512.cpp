@@ -1,7 +1,7 @@
 // AVX-512 kernel table (8-wide). Compiled with -mavx512f -mavx512dq
 // -ffp-contract=off; falls back to the scalar table when the compiler
 // lacks the flags. Same lane-per-output determinism argument as the AVX2
-// TU — only the fma-tier entries fuse or reassociate.
+// TU.
 #include "simd/tables.hpp"
 
 #include "simd/scalar_ref.hpp"
@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 namespace prs::simd {
 namespace {
@@ -243,67 +242,14 @@ void gemm_block(std::size_t rows, std::size_t cols, std::size_t k,
   }
 }
 
-// ---- fma tier ----
-
-double dot_fast(const double* a, const double* b, std::size_t n) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 2 * kW <= n; i += 2 * kW) {
-    acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i),
-                           acc0);
-    acc1 = _mm512_fmadd_pd(_mm512_loadu_pd(a + i + kW),
-                           _mm512_loadu_pd(b + i + kW), acc1);
-  }
-  for (; i + kW <= n; i += kW) {
-    acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i),
-                           acc0);
-  }
-  double lanes[kW];
-  _mm512_storeu_pd(lanes, _mm512_add_pd(acc0, acc1));
-  double sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-               ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-double nrm2_fast(const double* x, std::size_t n) {
-  double amax = 0.0;
-  bool any_nan = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double av = std::fabs(x[i]);
-    if (std::isnan(av)) any_nan = true;
-    amax = std::max(amax, av);
-  }
-  if (any_nan) return std::numeric_limits<double>::quiet_NaN();
-  if (amax == 0.0) return 0.0;
-  if (std::isinf(amax)) return std::numeric_limits<double>::infinity();
-  const __m512d av = _mm512_set1_pd(amax);
-  __m512d acc = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m512d r = _mm512_div_pd(_mm512_loadu_pd(x + i), av);
-    acc = _mm512_fmadd_pd(r, r, acc);
-  }
-  double lanes[kW];
-  _mm512_storeu_pd(lanes, acc);
-  double ssq = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-               ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  for (; i < n; ++i) {
-    const double r = x[i] / amax;
-    ssq += r * r;
-  }
-  return amax * std::sqrt(ssq);
-}
-
 }  // namespace
 
 bool avx512_compiled() { return true; }
 
 const Kernels& avx512_kernels() {
   static const Kernels table = {
-      dist2_block, quad_block,  axpy_acc,   add_acc,  moments_acc,
-      row_dots,    stencil_row, gemm_block, dot_fast, nrm2_fast,
+      dist2_block, quad_block,  axpy_acc,   add_acc,
+      moments_acc, row_dots,    stencil_row, gemm_block,
   };
   return table;
 }

@@ -1,13 +1,12 @@
 // Scalar reference implementations of every simd kernel — the ground
-// truth the vector TUs must match bit-for-bit (deterministic tier) or to
-// ULP bounds (fma tier). Header-only so the AVX2/AVX-512 TUs can reuse
-// them for tail lanes; the arithmetic is plain IEEE multiply/add in a
-// fixed order, so recompiling them per-TU cannot change the results
-// (those TUs use -ffp-contract=off, and reductions are never
-// auto-reassociated without -ffast-math).
+// truth the vector TUs must match bit-for-bit. Header-only so the
+// AVX2/AVX-512 TUs can reuse them for tail lanes; the arithmetic is plain
+// IEEE multiply/add in a fixed order, so recompiling them per-TU cannot
+// change the results (those TUs use -ffp-contract=off, and reductions are
+// never auto-reassociated without -ffast-math).
 //
 // The loops mirror the original app/linalg code they replaced (cmeans.cpp
-// fuzzy_weights, gmm.cpp log_gaussian, blas.hpp gemm/dot, stencil.cpp
+// fuzzy_weights, gmm.cpp log_gaussian, blas.hpp gemm/gemv, stencil.cpp
 // relax_rows) operation-for-operation: that is what makes PRS_SIMD=scalar
 // byte-identical to the pre-simd runner.
 #pragma once
@@ -95,43 +94,6 @@ inline double stencil_row(double* out, const double* mid, const double* up,
     max_update = std::max(max_update, std::fabs(v - mid[c]));
   }
   return max_update;
-}
-
-inline double dot(const double* a, const double* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-/// Scaled nrm2 with the linalg::nrm2 contract: any NaN => NaN, else any
-/// Inf => +Inf, ±0 skipped, overflow/underflow-safe scaling.
-inline double nrm2(const double* x, std::size_t n) {
-  double scale = 0.0;
-  double ssq = 1.0;
-  bool any = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = x[i];
-    if (v == 0.0) continue;
-    const double av = v < 0.0 ? -v : v;
-    if (!any) {
-      scale = av;
-      ssq = 1.0;
-      any = true;
-    } else if (scale < av) {
-      const double r = scale / av;
-      ssq = 1.0 + ssq * r * r;
-      scale = av;
-    } else if (av == scale) {
-      // r would be exactly 1 — adding 1 directly keeps inf/inf (which
-      // would otherwise produce NaN) on the +Inf contract.
-      ssq += 1.0;
-    } else {
-      const double r = av / scale;
-      ssq += r * r;
-    }
-  }
-  if (!any) return 0.0;
-  return scale * std::sqrt(ssq);
 }
 
 }  // namespace prs::simd::ref

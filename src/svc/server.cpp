@@ -1,6 +1,7 @@
 #include "svc/server.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "ckpt/checkpoint.hpp"
@@ -72,7 +73,10 @@ JobServer::~JobServer() {
 
 void JobServer::add_tenant(const std::string& name, TenantQuota quota) {
   PRS_REQUIRE(!name.empty(), "tenant name must not be empty");
-  PRS_REQUIRE(quota.weight > 0.0, "tenant weight must be positive");
+  // An infinite weight would make every stride charge zero, so that tenant
+  // would win every grant while it has work and starve the rest.
+  PRS_REQUIRE(std::isfinite(quota.weight) && quota.weight > 0.0,
+              "tenant weight must be finite and positive");
   std::lock_guard<std::mutex> lk(mu_);
   TenantAccount& t = tenants_[name];
   t.name = name;

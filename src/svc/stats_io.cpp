@@ -56,16 +56,6 @@ std::string job_stats_text(const core::JobStats& s, int nodes,
             static_cast<unsigned long long>(pool->chunks),
             static_cast<unsigned long long>(pool->stolen_chunks),
             pool->occupancy() * 100.0);
-    // Steal locality only means something once the lane map has >1 socket
-    // group; under the flat map every steal is "local" by construction.
-    if (pool->sockets > 1) {
-      appendf(out,
-              "host numa           %d socket group(s) | %d pinned lane(s) | "
-              "steals %llu local / %llu remote\n",
-              pool->sockets, pool->pinned_lanes,
-              static_cast<unsigned long long>(pool->steals_local),
-              static_cast<unsigned long long>(pool->steals_remote));
-    }
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -131,6 +132,12 @@ struct GemmCase {
   std::size_t m, n, k, split;
 };
 
+// Names the case in its test ID and in GetParam(), e.g.
+// "m33_n193_k7_split17", so the ID follows the values, not the raw bytes.
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << "m" << c.m << "_n" << c.n << "_k" << c.k << "_split" << c.split;
+}
+
 class GemmEquivalence : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmEquivalence, BlockedMatchesNaive) {
@@ -158,7 +165,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmCase{64, 64, 64, 64}, GemmCase{10, 100, 1, 16},
                       GemmCase{9, 25, 0, 3}, GemmCase{31, 191, 5, 30},
                       GemmCase{33, 193, 7, 17}, GemmCase{65, 385, 2, 31},
-                      GemmCase{207, 200, 13, 100}));
+                      GemmCase{207, 200, 13, 100}),
+    ::testing::PrintToStringParamName());
 
 // gemm_blocked_rows over row ranges that cut its chunks and tiles writes
 // the bytes of plain gemm at any pool size, and leaves the other rows

@@ -11,8 +11,11 @@
 //     artifacts of the runtime bookkeeping).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
@@ -30,6 +33,17 @@ struct SplitCase {
   double ai;
   bool cached;
 };
+
+// Names the case in its test ID and in GetParam(), e.g. "ai0p5_uncached":
+// the raw-byte default would also print the struct's uninitialized
+// padding.
+void PrintTo(const SplitCase& c, std::ostream* os) {
+  std::ostringstream ai;
+  ai << c.ai;
+  std::string digits = ai.str();
+  std::replace(digits.begin(), digits.end(), '.', 'p');
+  *os << "ai" << digits << (c.cached ? "_cached" : "_uncached");
+}
 
 class SplitOptimality : public ::testing::TestWithParam<SplitCase> {};
 
@@ -75,7 +89,8 @@ INSTANTIATE_TEST_SUITE_P(
     AiRange, SplitOptimality,
     ::testing::Values(SplitCase{0.5, false}, SplitCase{2.0, false},
                       SplitCase{8.0, false}, SplitCase{50.0, true},
-                      SplitCase{500.0, true}, SplitCase{6600.0, true}));
+                      SplitCase{500.0, true}, SplitCase{6600.0, true}),
+    ::testing::PrintToStringParamName());
 
 // -- shuffle preserves the pair multiset -------------------------------------------
 

@@ -19,18 +19,13 @@
 #include "apps/wordcount.hpp"
 #include "common/rng.hpp"
 #include "exec/thread_pool.hpp"
-#include "numa/topology.hpp"
 
 namespace {
 
 using namespace prs;
 
 struct PoolGuard {
-  ~PoolGuard() {
-    numa::clear_enabled_override();
-    numa::clear_topology_override();
-    exec::ThreadPool::instance().configure(0);
-  }
+  ~PoolGuard() { exec::ThreadPool::instance().configure(0); }
 };
 
 /// Corpus with every C-locale whitespace separator, empty lines, leading/
@@ -152,30 +147,20 @@ TEST(WordcountOracle, ManyDistinctWordsPerBlockMatchSerialAtAnyThreadCount) {
   expect_prs_matches_serial(corpus, "many distinct words", 1, cfg);
 }
 
-// -- NUMA mode no longer changes the path ------------------------------------
+// -- The map path against the oracle on multi-lane pools ---------------------
 
 TEST(WordcountShuffle, PerLaneAndReducePathsAgreeOnNastyWhitespace) {
-  // NUMA on and off once chose different map paths; both modes now run the
-  // one path and must still reproduce the oracle.
   PoolGuard guard;
   exec::ThreadPool::instance().configure(4);
-  numa::set_topology(numa::Topology::uniform(2, 2));
   auto corpus = std::make_shared<const apps::Corpus>(nasty_corpus());
   const auto serial = apps::wordcount_serial(*corpus);
 
-  auto run_map = [&] {
-    auto spec = apps::wordcount_spec(corpus);
-    core::Emitter<std::string, long> em;
-    spec.cpu_map(core::InputSlice{0, corpus->size()}, em);
-    std::map<std::string, long> out;
-    for (const auto& [w, c] : em.pairs()) out[w] += c;
-    return out;
-  };
-
-  numa::set_enabled(false);
-  EXPECT_EQ(run_map(), serial);
-  numa::set_enabled(true);
-  EXPECT_EQ(run_map(), serial);
+  auto spec = apps::wordcount_spec(corpus);
+  core::Emitter<std::string, long> em;
+  spec.cpu_map(core::InputSlice{0, corpus->size()}, em);
+  std::map<std::string, long> out;
+  for (const auto& [w, c] : em.pairs()) out[w] += c;
+  EXPECT_EQ(out, serial);
 }
 
 TEST(WordcountShuffle, RandomCorporaAgreeAcrossPathsAndThreadCounts) {
@@ -191,13 +176,10 @@ TEST(WordcountShuffle, RandomCorporaAgreeAcrossPathsAndThreadCounts) {
 
   for (int threads : {1, 3, 6}) {
     pool.configure(threads);
-    for (const bool on : {false, true}) {
-      numa::set_enabled(on);
-      auto spec = apps::wordcount_spec(corpus);
-      core::Emitter<std::string, long> em;
-      spec.cpu_map(core::InputSlice{0, corpus->size()}, em);
-      ASSERT_EQ(em.pairs(), want) << "threads=" << threads << " numa=" << on;
-    }
+    auto spec = apps::wordcount_spec(corpus);
+    core::Emitter<std::string, long> em;
+    spec.cpu_map(core::InputSlice{0, corpus->size()}, em);
+    ASSERT_EQ(em.pairs(), want) << "threads=" << threads;
   }
 }
 

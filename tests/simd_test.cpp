@@ -1,12 +1,10 @@
 // SIMD kernel layer tests (DESIGN.md §4j).
 //
-// The load-bearing property is the determinism contract: every kernel in
-// the deterministic tier must produce BIT-IDENTICAL results at scalar,
-// AVX2 and AVX-512 — these tests compare raw bytes, not tolerances. The
-// fma tier (reachable only behind fma_allowed()) is held to ULP-style
-// relative bounds instead. On hosts without AVX-512 (or AVX2) the
-// corresponding sweeps skip; CI runs the scalar and AVX2 legs explicitly
-// via PRS_SIMD.
+// The load-bearing property is the determinism contract: every kernel
+// must produce BIT-IDENTICAL results at scalar, AVX2 and AVX-512 — these
+// tests compare raw bytes, not tolerances. On hosts without AVX-512 (or
+// AVX2) the corresponding sweeps skip; CI runs the scalar and AVX2 legs
+// explicitly via PRS_SIMD.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,13 +54,10 @@ std::vector<simd::Level> supported_levels() {
 }
 
 /// Restores dispatch state around every test so the suite order and the
-/// ambient PRS_SIMD/PRS_SIMD_FMA of a CI leg never leak between cases.
+/// ambient PRS_SIMD of a CI leg never leak between cases.
 class SimdTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    simd::clear_level_override();
-    simd::clear_fma_override();
-  }
+  void TearDown() override { simd::clear_level_override(); }
 };
 
 // -- dispatch ----------------------------------------------------------------
@@ -109,13 +104,6 @@ TEST_F(SimdTest, UnsupportedLevelThrows) {
   }
 }
 
-TEST_F(SimdTest, FmaFlagDefaultsOffAndOverrides) {
-  simd::set_fma_allowed(false);
-  EXPECT_FALSE(simd::fma_allowed());
-  simd::set_fma_allowed(true);
-  EXPECT_TRUE(simd::fma_allowed());
-}
-
 TEST_F(SimdTest, MeasureHostSpeedupIsOneAtScalarAndClamped) {
   simd::set_level(simd::Level::kScalar);
   EXPECT_DOUBLE_EQ(simd::measure_host_speedup(), 1.0);
@@ -125,7 +113,7 @@ TEST_F(SimdTest, MeasureHostSpeedupIsOneAtScalarAndClamped) {
   EXPECT_LE(s, 16.0);
 }
 
-// -- deterministic tier: bitwise equivalence sweep ---------------------------
+// -- bitwise equivalence sweep -----------------------------------------------
 
 const std::size_t kDims[] = {1, 2,  3,  4,  5,  6,  7,  8,  9,
                              10, 11, 12, 13, 14, 15, 16, 17, 31,
@@ -307,60 +295,9 @@ TEST_F(SimdTest, PackTransposedRoundTrips) {
   }
 }
 
-// -- fma tier: ULP-bounded against the reference -----------------------------
-
-TEST_F(SimdTest, FmaDotWithinRelativeBound) {
-  for (const simd::Level level : supported_levels()) {
-    const simd::Kernels& kn = simd::kernels_for(level);
-    for (const std::size_t n : {1ul, 3ul, 8ul, 17ul, 100ul, 1000ul, 1023ul}) {
-      std::vector<double> a(n), b(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        a[i] = synth(i);
-        b[i] = synth(i + 500);
-      }
-      const double want = simd::ref::dot(a.data(), b.data(), n);
-      const double got = kn.dot_fast(a.data(), b.data(), n);
-      // Reassociation error of a length-n sum is O(n * eps * sum |terms|).
-      double mag = 0.0;
-      for (std::size_t i = 0; i < n; ++i) mag += std::fabs(a[i] * b[i]);
-      const double tol =
-          static_cast<double>(n) * std::numeric_limits<double>::epsilon() *
-              mag +
-          1e-300;
-      EXPECT_NEAR(got, want, tol)
-          << "dot_fast level=" << simd::level_name(level) << " n=" << n;
-    }
-  }
-}
-
-TEST_F(SimdTest, FmaNrm2MatchesContractAndBound) {
-  for (const simd::Level level : supported_levels()) {
-    const simd::Kernels& kn = simd::kernels_for(level);
-    for (const std::size_t n : {1ul, 7ul, 64ul, 1000ul}) {
-      std::vector<double> x(n);
-      for (std::size_t i = 0; i < n; ++i) x[i] = synth(i + 3) * 1e150;
-      const double want = simd::ref::nrm2(x.data(), n);
-      const double got = kn.nrm2_fast(x.data(), n);
-      EXPECT_NEAR(got, want,
-                  1e-12 * want + std::numeric_limits<double>::min())
-          << "nrm2_fast level=" << simd::level_name(level) << " n=" << n;
-    }
-    // Special values: NaN dominates, else Inf, signed zeros are skipped.
-    const double inf = std::numeric_limits<double>::infinity();
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    std::vector<double> with_inf{1.0, -inf, 2.0};
-    std::vector<double> with_nan{1.0, nan, inf};
-    std::vector<double> zeros{0.0, -0.0, 0.0};
-    EXPECT_EQ(kn.nrm2_fast(with_inf.data(), with_inf.size()), inf);
-    EXPECT_TRUE(std::isnan(kn.nrm2_fast(with_nan.data(), with_nan.size())));
-    EXPECT_EQ(kn.nrm2_fast(zeros.data(), zeros.size()), 0.0);
-  }
-}
-
 // -- linalg::nrm2 special-value contract (the satellite bugfix) --------------
 
 TEST_F(SimdTest, Nrm2InfinityYieldsInfNotNaN) {
-  simd::set_fma_allowed(false);
   const double inf = std::numeric_limits<double>::infinity();
   // Two infinities used to hit inf/inf = NaN in the scaled update.
   std::vector<double> two_inf{inf, inf};
@@ -420,23 +357,6 @@ TEST_F(SimdTest, GemmBlockedMatchesPlainGemmAtTailSizes) {
     }
   }
   exec::ThreadPool::instance().configure(0);
-}
-
-// gemm has no fused path: the fma opt-in changes dot and nrm2 only.
-TEST_F(SimdTest, GemmBlockedIgnoresFmaFlag) {
-  const std::size_t m = 33, k = 65, n = 31;
-  linalg::MatrixD a(m, k), b(k, n), want(m, n, 0.5);
-  for (std::size_t i = 0; i < m * k; ++i) a.storage()[i] = synth(i);
-  for (std::size_t i = 0; i < k * n; ++i) b.storage()[i] = synth(i + 9);
-  linalg::gemm(1.25, a, b, 0.75, want);
-  simd::set_fma_allowed(true);
-  for (const simd::Level level : supported_levels()) {
-    simd::set_level(level);
-    linalg::MatrixD got(m, n, 0.5);
-    linalg::gemm_blocked(1.25, a, b, 0.75, got);
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), m * n * sizeof(double)), 0)
-        << "level=" << simd::level_name(level);
-  }
 }
 
 // -- roofline feedback (Eq (8) with a measured host speedup) -----------------
@@ -545,7 +465,6 @@ std::string run_digest(const std::string& app) {
 }
 
 TEST_F(SimdTest, AllAppsPinnedDigestsAtEveryLevel) {
-  simd::set_fma_allowed(false);  // the contract covers the deterministic tier
   for (const simd::Level level : supported_levels()) {
     simd::set_level(level);
     for (const AppGolden& g : kGoldens) {

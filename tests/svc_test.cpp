@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -418,6 +419,21 @@ TEST(JobServer, QuotaBreachRejectsDeterministically) {
   EXPECT_EQ(server.submit("wide", huge).decision.code, AdmitCode::kTooLarge);
   // Unknown tenants never get in.
   EXPECT_EQ(server.submit("nobody", big).decision.code,
+            AdmitCode::kUnknownTenant);
+}
+
+TEST(JobServer, NonFiniteTenantWeightsAreRejected) {
+  // An infinite weight would zero every stride charge: that tenant would
+  // win every grant while it has work and starve the others.
+  JobServer server(server_cfg(1, 1));
+  TenantQuota inf;
+  inf.weight = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(server.add_tenant("inf", inf), InvalidArgument);
+  TenantQuota nan;
+  nan.weight = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(server.add_tenant("nan", nan), InvalidArgument);
+  const JobSpec spec = small_cmeans(3);
+  EXPECT_EQ(server.submit("inf", spec).decision.code,
             AdmitCode::kUnknownTenant);
 }
 

@@ -75,21 +75,11 @@ usage: prs_run [options]
                       (default 0 = $PRS_HOST_THREADS, else all cores);
                       results are byte-identical for any N
   --simd=LEVEL        host kernel instruction set: scalar | avx2 | avx512 |
-                      auto (default; also $PRS_SIMD). Deterministic-tier
-                      kernels are byte-identical across levels; requesting
-                      an unsupported level fails loudly
-  --simd-fma          allow fused/reassociated (FMA) kernels in the dot/nrm2
-                      hot loops (also $PRS_SIMD_FMA=1). Faster, but waives
-                      cross-level bit-identity (ULP-bounded)
+                      auto (default; also $PRS_SIMD). Kernels are
+                      byte-identical across levels; requesting an
+                      unsupported level fails loudly
   --simd-calibrate    micro-benchmark the host vector speedup and scale the
                       roofline CPU rate Fc in the Eq (8) split by it
-  --numa=MODE         NUMA-aware host execution: on | off (default; also
-                      $PRS_NUMA). On: worker lanes pin to their socket's
-                      CPUs, steal socket-local first, first-touch their
-                      input share, and wordcount shuffles through per-lane
-                      kv-stores. Placement only — results are
-                      byte-identical on or off ($PRS_NUMA_TOPOLOGY injects
-                      a synthetic layout, e.g. "2x4")
 
   --fault-spec=SPEC   inject faults and run fault-tolerant, e.g.
                       "gpu_hang:node1:t=2ms", "link_drop:*:p=0.01",
@@ -166,10 +156,6 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
     }
     if (arg == "--resume") {
       out.resume = true;
-      continue;
-    }
-    if (arg == "--simd-fma") {
-      out.simd_fma = true;
       continue;
     }
     if (arg == "--simd-calibrate") {
@@ -262,9 +248,6 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
       out.simd = val;
       ok = val == "scalar" || val == "avx2" || val == "avx512" ||
            val == "auto";
-    } else if (key == "numa") {
-      out.numa = val;
-      ok = val == "on" || val == "off";
     } else if (key == "host-threads") {
       ok = parse_int(val, out.host_threads) && out.host_threads >= 0 &&
            out.host_threads <= exec::ThreadPool::kMaxThreads;
@@ -398,15 +381,9 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
             "in the server)";
     return false;
   }
-  if (out.submit &&
-      (!out.simd.empty() || out.simd_fma || out.simd_calibrate)) {
-    error = "--simd/--simd-fma/--simd-calibrate are not supported in client "
-            "mode (kernels run in the server process)";
-    return false;
-  }
-  if (out.submit && !out.numa.empty()) {
-    error = "--numa is not supported in client mode (host placement belongs "
-            "to the server process)";
+  if (out.submit && (!out.simd.empty() || out.simd_calibrate)) {
+    error = "--simd/--simd-calibrate are not supported in client mode "
+            "(kernels run in the server process)";
     return false;
   }
   return true;

@@ -42,13 +42,8 @@ struct Options {
                              // (PRS_HOST_THREADS / hardware_concurrency)
   std::string simd;          // --simd=scalar|avx2|avx512|auto; empty =
                              // $PRS_SIMD, else auto-detect
-  bool simd_fma = false;     // --simd-fma: allow fused/reassociated kernels
-                             // (waives cross-level bit-identity, ULP-bounded)
   bool simd_calibrate = false;  // --simd-calibrate: measure the host vector
                                 // speedup and feed it into the Eq (8) split
-  std::string numa;          // --numa=on|off: NUMA-aware host execution
-                             // (pinning, socket-local steals, per-lane
-                             // shuffle stores); empty = $PRS_NUMA, else off
   std::string fault_spec;    // --fault-spec=...: fault clauses (fault_plan.hpp)
   std::uint64_t fault_seed = 1;  // seed of the injector's RNG streams
   int checkpoint_every = 0;  // snapshot interval in iterations; 0 = off

@@ -34,7 +34,6 @@
 #include "obs/export.hpp"
 #include "obs/pool_metrics.hpp"
 #include "obs/trace.hpp"
-#include "numa/topology.hpp"
 #include "simd/dispatch.hpp"
 #include "svc/client.hpp"
 #include "svc/launcher.hpp"
@@ -108,20 +107,10 @@ int run(const tools::Options& opt) {
   // unsupported request throws (prs::Error handler in main). The status
   // line only appears when a flag was given, keeping default stdout
   // byte-identical to pre-SIMD builds.
-  if (!opt.simd.empty()) simd::set_level(opt.simd);
-  if (opt.simd_fma) simd::set_fma_allowed(true);
-  if (!opt.simd.empty() || opt.simd_fma) {
-    std::printf("simd level          %s%s\n",
-                simd::level_name(simd::active_level()),
-                simd::fma_allowed() ? " (+fma)" : "");
-  }
-  // NUMA mode before any kernel runs. --numa overrides $PRS_NUMA; like
-  // the simd status line, the topology line only appears when the flag
-  // was given, keeping default stdout byte-identical.
-  if (!opt.numa.empty()) {
-    numa::set_enabled(opt.numa == "on");
-    std::printf("numa                %s | %s\n", opt.numa.c_str(),
-                numa::active_topology().summary().c_str());
+  if (!opt.simd.empty()) {
+    simd::set_level(opt.simd);
+    std::printf("simd level          %s\n",
+                simd::level_name(simd::active_level()));
   }
   sim::Simulator sim;
   obs::TraceRecorder tracer(sim);

@@ -12,6 +12,7 @@
 #include <sys/stat.h>
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -87,6 +88,16 @@ Stop with: prs_run --server=PATH --shutdown-server
 bool parse_int_arg(const std::string& v, int& out) {
   auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
   return ec == std::errc() && p == v.data() + v.size();
+}
+
+bool parse_double_arg(const std::string& v, double& out) {
+  try {
+    std::size_t pos = 0;
+    out = std::stod(v, &pos);
+    return pos == v.size();
+  } catch (...) {
+    return false;
+  }
 }
 
 bool parse_serve_options(int argc, char** argv, ServeOptions& out,
@@ -173,13 +184,11 @@ void add_tenants(svc::JobServer& server, const std::string& spec,
     svc::TenantQuota quota;
     quota.max_vgpus = pool_capacity;
     if (parts.size() >= 2) {
-      try {
-        quota.weight = std::stod(parts[1]);
-      } catch (...) {
-        throw InvalidArgument("malformed tenant weight in '" + entry + "'");
-      }
-      PRS_REQUIRE(quota.weight > 0.0,
-                  "tenant weight must be positive in '" + entry + "'");
+      PRS_REQUIRE(parse_double_arg(parts[1], quota.weight),
+                  "malformed tenant weight in '" + entry + "'");
+      PRS_REQUIRE(std::isfinite(quota.weight) && quota.weight > 0.0,
+                  "tenant weight must be finite and positive in '" + entry +
+                      "'");
     }
     if (parts.size() >= 3) {
       int v = 0;
