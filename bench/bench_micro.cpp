@@ -1,14 +1,19 @@
 // Wall-clock microbenchmarks (google-benchmark) of the host library:
 // discrete-event engine throughput, coroutine channel/resource round trips,
-// BLAS kernels, collective operations, and an end-to-end PRS job — the
-// costs a user of this library actually pays per simulated event.
+// BLAS kernels, the result digest, collective operations, and an end-to-end
+// PRS job — the costs a user of this library actually pays per simulated
+// event.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "apps/wordcount.hpp"
+#include "ckpt/codec.hpp"
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
 #include "core/job_runner.hpp"
 #include "linalg/blas.hpp"
+#include "simd/scalar_ref.hpp"
 #include "simnet/fabric.hpp"
 #include "simtime/channel.hpp"
 #include "simtime/process.hpp"
@@ -96,6 +101,27 @@ void BM_GemmBlockedVsNaive(benchmark::State& state) {
                           static_cast<int64_t>(2 * n * n * n));
 }
 BENCHMARK(BM_GemmBlockedVsNaive)->Args({128, 0})->Args({128, 1})->Args({256, 0})->Args({256, 1});
+
+// The result digest over 32 MB (dgemm_bulk's C is 32 MB): arg 0 is the
+// serial byte loop that defines FNV-1a, arg 1 the library. PRS_SIMD picks
+// the level.
+void BM_Fnv1a64(benchmark::State& state) {
+  const bool library = state.range(0) == 1;
+  std::string bytes(32u << 20, '\0');
+  Rng rng(4);
+  for (char& c : bytes) c = static_cast<char>(rng.next());
+  for (auto _ : state) {
+    const std::uint64_t h =
+        library ? ckpt::fnv1a64(bytes)
+                : simd::ref::fnv_bytes(
+                      reinterpret_cast<const unsigned char*>(bytes.data()),
+                      bytes.size(), ckpt::kFnvOffsetBasis);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Fnv1a64)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_AllreduceSimulated(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));

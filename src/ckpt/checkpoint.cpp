@@ -1,6 +1,8 @@
 #include "ckpt/checkpoint.hpp"
 
+#include <bit>
 #include <cmath>
+#include <string_view>
 #include <type_traits>
 
 #include "common/error.hpp"
@@ -116,6 +118,21 @@ void put_matrix(Writer& w, const linalg::MatrixD& m) {
   w.u64(m.rows());
   w.u64(m.cols());
   w.f64s(m.data(), m.size());
+}
+
+std::uint64_t fnv1a64_matrix(const linalg::MatrixD& m, std::uint64_t seed) {
+  if constexpr (std::endian::native == std::endian::little) {
+    Writer header;
+    header.u64(m.rows());
+    header.u64(m.cols());
+    const std::string_view body(reinterpret_cast<const char*>(m.data()),
+                                m.size() * sizeof(double));
+    return fnv1a64(body, fnv1a64(header.bytes(), seed));
+  } else {
+    Writer w;
+    put_matrix(w, m);
+    return fnv1a64(w.bytes(), seed);
+  }
 }
 
 void get_matrix(Reader& r, linalg::MatrixD& m) {

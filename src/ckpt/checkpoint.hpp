@@ -103,5 +103,10 @@ void put_matrix(Writer& w, const linalg::MatrixD& m);
 /// Reads a matrix written by put_matrix, replacing `m` (dims come from the
 /// snapshot; callers validate against expected shapes).
 void get_matrix(Reader& r, linalg::MatrixD& m);
+/// fnv1a64(bytes put_matrix writes, seed) without the copy: the 16-byte
+/// header is hashed, then the matrix bytes in place with that hash as the
+/// seed (byte-wise through a Writer on big-endian hosts).
+std::uint64_t fnv1a64_matrix(const linalg::MatrixD& m,
+                             std::uint64_t seed = kFnvOffsetBasis);
 
 }  // namespace prs::ckpt

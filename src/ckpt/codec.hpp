@@ -22,17 +22,15 @@
 
 namespace prs::ckpt {
 
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+
 /// FNV-1a 64-bit hash; used as the snapshot payload checksum and by callers
-/// that want a cheap deterministic digest of serialized state.
-inline std::uint64_t fnv1a64(std::string_view bytes,
-                             std::uint64_t seed = 0xcbf29ce484222325ull) {
-  std::uint64_t h = seed;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+/// that want a cheap deterministic digest of serialized state. The seed is
+/// the state, so fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b). Every size runs
+/// simd::Kernels::fnv_span, which returns the byte loop's value at every
+/// level (DESIGN.md §4j).
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t seed = kFnvOffsetBasis);
 
 /// Append-only little-endian byte writer.
 class Writer {

@@ -17,12 +17,13 @@ std::atomic<int> g_level_override{-1};
 
 Level detect() {
 #if defined(__x86_64__) || defined(__i386__)
+  // The features each TU's -m flags allow (simd/CMakeLists.txt).
   if (avx512_compiled() && __builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512dq")) {
+      __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512bw")) {
     return Level::kAvx512;
   }
-  if (avx2_compiled() && __builtin_cpu_supports("avx2") &&
-      __builtin_cpu_supports("fma")) {
+  if (avx2_compiled() && __builtin_cpu_supports("avx2")) {
     return Level::kAvx2;
   }
 #endif

@@ -25,8 +25,8 @@ namespace prs::simd {
 /// ISA tiers, ordered: a CPU supporting level L supports every L' < L.
 enum class Level : int {
   kScalar = 0,
-  kAvx2 = 1,    // AVX2 (+FMA present on every AVX2 part we target)
-  kAvx512 = 2,  // AVX-512 F+DQ
+  kAvx2 = 1,    // AVX2
+  kAvx512 = 2,  // AVX-512 F+DQ+BW
 };
 
 /// "scalar" | "avx2" | "avx512".

@@ -11,10 +11,12 @@
 // Determinism: every kernel accumulates each output element in exactly
 // the scalar reference order (lane-per-output, separate multiply and add,
 // -ffp-contract=off in the vector TUs), so scalar / AVX2 / AVX-512 produce
-// the same bytes.
+// the same bytes. The FNV-1a entry is integer-only, so every level
+// computes its exact value by construction.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "simd/dispatch.hpp"
@@ -69,6 +71,12 @@ struct Kernels {
                      double alpha, const double* a, std::size_t lda,
                      const double* b, std::size_t ldb, double beta,
                      double* c, std::size_t ldc);
+
+  /// The FNV-1a 64 state after p[0, n), started from state `h`: the byte
+  /// loop's value at every level. DESIGN.md §4j gives the identities and
+  /// the bit-sliced vector forms.
+  std::uint64_t (*fnv_span)(const unsigned char* p, std::size_t n,
+                            std::uint64_t h);
 };
 
 /// The kernel table for one level (scalar table when the level's TU was

@@ -1,4 +1,4 @@
-// AVX2 kernel table. Compiled with -mavx2 -mfma -ffp-contract=off (see
+// AVX2 kernel table. Compiled with -mavx2 -ffp-contract=off (see
 // simd/CMakeLists.txt); when the compiler lacks those flags the table
 // falls back to the scalar reference and avx2_compiled() reports false.
 //
@@ -10,12 +10,14 @@
 
 #include "simd/scalar_ref.hpp"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 #include <immintrin.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+
+#include "simd/fnv_bitslice.hpp"
 
 namespace prs::simd {
 namespace {
@@ -250,14 +252,104 @@ void gemm_block(std::size_t rows, std::size_t cols, std::size_t k,
   }
 }
 
+// FNV-1a: bit planes by shift + vpmovmskb on two 32-byte halves, and the
+// 64 Horner lanes in 16 ymm multiplied with vpmuludq (AVX2 has no 64-bit
+// low multiply).
+void fnv_planes(const unsigned char* p, fnv::Planes& b) {
+  __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 32));
+#pragma GCC unroll 8
+  for (int k = 7; k >= 0; --k) {  // bit k sits in each byte's top bit
+    const auto ml = static_cast<std::uint32_t>(_mm256_movemask_epi8(lo));
+    const auto mh = static_cast<std::uint32_t>(_mm256_movemask_epi8(hi));
+    b[k] = ml | static_cast<std::uint64_t>(mh) << 32;
+    lo = _mm256_add_epi8(lo, lo);
+    hi = _mm256_add_epi8(hi, hi);
+  }
+}
+
+/// Byte i of the result is 0xff when bit i of m is set, else 0.
+__m256i expand_bits(std::uint32_t m) {
+  const __m256i spread = _mm256_setr_epi8(
+      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,  //
+      2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
+  const __m256i bit = _mm256_set1_epi64x(0x8040201008040201ll);
+  const __m256i v = _mm256_shuffle_epi8(
+      _mm256_set1_epi32(static_cast<int>(m)), spread);
+  return _mm256_cmpeq_epi8(_mm256_and_si256(v, bit), bit);
+}
+
+class FnvPoly {
+ public:
+  /// d = (low ^ b) - low at each offset, with low rebuilt from its planes.
+  void add(const fnv::Planes& low, const unsigned char* block) {
+    alignas(32) std::int16_t d[fnv::kBlock];
+    for (int h = 0; h < 2; ++h) {
+      __m256i l = _mm256_setzero_si256();
+#pragma GCC unroll 8
+      for (int k = 0; k < 8; ++k) {
+        const __m256i set =
+            expand_bits(static_cast<std::uint32_t>(low[k] >> (32 * h)));
+        l = _mm256_or_si256(
+            l, _mm256_and_si256(set, _mm256_set1_epi8(static_cast<char>(1 << k))));
+      }
+      const __m256i x = _mm256_xor_si256(
+          l, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + 32 * h)));
+      const __m256i d0 =
+          _mm256_sub_epi16(_mm256_cvtepu8_epi16(_mm256_castsi256_si128(x)),
+                           _mm256_cvtepu8_epi16(_mm256_castsi256_si128(l)));
+      const __m256i d1 =
+          _mm256_sub_epi16(_mm256_cvtepu8_epi16(_mm256_extracti128_si256(x, 1)),
+                           _mm256_cvtepu8_epi16(_mm256_extracti128_si256(l, 1)));
+      _mm256_store_si256(reinterpret_cast<__m256i*>(d + 32 * h), d0);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(d + 32 * h + 16), d1);
+    }
+    // acc * P^64 mod 2^64 from 32-bit halves: lo*lo + ((hi*lo + lo*hi) << 32).
+    constexpr std::uint64_t kStep = fnv::prime_pow(fnv::kBlock);
+    const __m256i m_lo = _mm256_set1_epi64x(static_cast<long long>(kStep & 0xffffffffu));
+    const __m256i m_hi = _mm256_set1_epi64x(static_cast<long long>(kStep >> 32));
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < fnv::kBlock / 4; ++v) {
+      const __m256i a = acc_[v];
+      const __m256i cross = _mm256_add_epi64(
+          _mm256_mul_epu32(_mm256_srli_epi64(a, 32), m_lo),
+          _mm256_mul_epu32(a, m_hi));
+      const __m256i prod = _mm256_add_epi64(_mm256_mul_epu32(a, m_lo),
+                                            _mm256_slli_epi64(cross, 32));
+      const __m256i dv = _mm256_cvtepi16_epi64(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(d + 4 * v)));
+      acc_[v] = _mm256_add_epi64(prod, dv);
+    }
+  }
+
+  std::uint64_t fold() const {
+    alignas(32) std::uint64_t lanes[fnv::kBlock];
+    for (std::size_t v = 0; v < fnv::kBlock / 4; ++v) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4 * v), acc_[v]);
+    }
+    std::uint64_t h = 0;
+    for (std::size_t o = 0; o < fnv::kBlock; ++o) h += fnv::kLaneWeight[o] * lanes[o];
+    return h;
+  }
+
+ private:
+  __m256i acc_[fnv::kBlock / 4] = {};
+};
+
+std::uint64_t fnv_span(const unsigned char* p, std::size_t n,
+                       std::uint64_t h) {
+  return fnv::span<FnvPoly>(p, n, h, fnv_planes);
+}
+
 }  // namespace
 
 bool avx2_compiled() { return true; }
 
 const Kernels& avx2_kernels() {
   static const Kernels table = {
-      dist2_block, quad_block,  axpy_acc,   add_acc,
+      dist2_block, quad_block,  axpy_acc,    add_acc,
       moments_acc, row_dots,    stencil_row, gemm_block,
+      fnv_span,
   };
   return table;
 }

@@ -1,17 +1,19 @@
 // AVX-512 kernel table (8-wide). Compiled with -mavx512f -mavx512dq
-// -ffp-contract=off; falls back to the scalar table when the compiler
-// lacks the flags. Same lane-per-output determinism argument as the AVX2
-// TU.
+// -mavx512bw -ffp-contract=off; falls back to the scalar table when the
+// compiler lacks the flags. Same lane-per-output determinism argument as
+// the AVX2 TU.
 #include "simd/tables.hpp"
 
 #include "simd/scalar_ref.hpp"
 
-#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512BW__)
 #include <immintrin.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+
+#include "simd/fnv_bitslice.hpp"
 
 namespace prs::simd {
 namespace {
@@ -242,14 +244,72 @@ void gemm_block(std::size_t rows, std::size_t cols, std::size_t k,
   }
 }
 
+// FNV-1a: one vptestmb per bit plane, and the 64 Horner lanes in 8 zmm
+// multiplied with vpmullq.
+void fnv_planes(const unsigned char* p, fnv::Planes& b) {
+  const __m512i v = _mm512_loadu_si512(p);
+#pragma GCC unroll 8
+  for (int k = 0; k < 8; ++k) {
+    b[k] = _mm512_test_epi8_mask(v, _mm512_set1_epi8(static_cast<char>(1 << k)));
+  }
+}
+
+class FnvPoly {
+ public:
+  /// d = (low ^ b) - low at each offset, with low rebuilt from its planes.
+  void add(const fnv::Planes& low, const unsigned char* block) {
+    __m512i l = _mm512_setzero_si512();
+#pragma GCC unroll 8
+    for (int k = 0; k < 8; ++k) {
+      l = _mm512_mask_add_epi8(l, low[k], l,
+                               _mm512_set1_epi8(static_cast<char>(1 << k)));
+    }
+    alignas(64) unsigned char lb[fnv::kBlock];
+    _mm512_store_si512(lb, l);
+    const __m512i step = _mm512_set1_epi64(
+        static_cast<long long>(fnv::prime_pow(fnv::kBlock)));
+    // Zero-masked widening: GCC 12's unmasked form trips
+    // -Wmaybe-uninitialized (see stencil_row).
+    const auto widen = [](const unsigned char* q) {
+      return _mm512_maskz_cvtepu8_epi64(
+          static_cast<__mmask8>(0xff),
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q)));
+    };
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < 8; ++j) {
+      const __m512i l64 = widen(lb + 8 * j);
+      const __m512i b64 = widen(block + 8 * j);
+      const __m512i d = _mm512_sub_epi64(_mm512_xor_si512(l64, b64), l64);
+      acc_[j] = _mm512_add_epi64(_mm512_mullo_epi64(acc_[j], step), d);
+    }
+  }
+
+  std::uint64_t fold() const {
+    alignas(64) std::uint64_t lanes[fnv::kBlock];
+    for (std::size_t j = 0; j < 8; ++j) _mm512_store_si512(lanes + 8 * j, acc_[j]);
+    std::uint64_t h = 0;
+    for (std::size_t o = 0; o < fnv::kBlock; ++o) h += fnv::kLaneWeight[o] * lanes[o];
+    return h;
+  }
+
+ private:
+  __m512i acc_[8] = {};
+};
+
+std::uint64_t fnv_span(const unsigned char* p, std::size_t n,
+                       std::uint64_t h) {
+  return fnv::span<FnvPoly>(p, n, h, fnv_planes);
+}
+
 }  // namespace
 
 bool avx512_compiled() { return true; }
 
 const Kernels& avx512_kernels() {
   static const Kernels table = {
-      dist2_block, quad_block,  axpy_acc,   add_acc,
+      dist2_block, quad_block,  axpy_acc,    add_acc,
       moments_acc, row_dots,    stencil_row, gemm_block,
+      fnv_span,
   };
   return table;
 }

@@ -10,7 +10,7 @@ const Kernels& scalar_kernels() {
   static const Kernels table = {
       ref::dist2_block, ref::quad_block,  ref::axpy_acc,
       ref::add_acc,     ref::moments_acc, ref::row_dots,
-      ref::stencil_row, ref::gemm_block,
+      ref::stencil_row, ref::gemm_block,  ref::fnv_bytes,
   };
   return table;
 }

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace prs::simd::ref {
 
@@ -94,6 +95,19 @@ inline double stencil_row(double* out, const double* mid, const double* up,
     max_update = std::max(max_update, std::fabs(v - mid[c]));
   }
   return max_update;
+}
+
+/// The FNV-1a 64 prime.
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
+/// The FNV-1a 64 byte loop from state `h`: the definition of the digest.
+inline std::uint64_t fnv_bytes(const unsigned char* p, std::size_t n,
+                               std::uint64_t h) {
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= kFnvPrime;
+  }
+  return h;
 }
 
 }  // namespace prs::simd::ref

@@ -133,6 +133,13 @@ JournalReplay decode_journal(const std::string& bytes) {
         case JournalRecordType::kDone: {
           rec.digest = r.str();
           const std::uint32_t n = r.u32();
+          // Each line carries an 8-byte length prefix, so a count the rest
+          // of the payload cannot hold is malformed, not a reservation to
+          // attempt: the checksum is no MAC, and 2^32 - 1 lines would throw
+          // std::bad_alloc past this decoder.
+          if (n > r.remaining() / 8) {
+            throw Error("journal DONE record claims more lines than it holds");
+          }
           rec.lines.reserve(n);
           for (std::uint32_t i = 0; i < n; ++i) rec.lines.push_back(r.str());
           break;

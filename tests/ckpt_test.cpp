@@ -11,6 +11,8 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
@@ -20,6 +22,8 @@
 #include "common/rng.hpp"
 #include "core/schedule_policy.hpp"
 #include "linalg/matrix.hpp"
+#include "simd/dispatch.hpp"
+#include "simd/scalar_ref.hpp"
 
 namespace prs::ckpt {
 namespace {
@@ -146,6 +150,101 @@ TEST(CkptCodec, HostileMatrixHeaderThrowsBeforeAllocating) {
   linalg::MatrixD out;
   EXPECT_THROW(get_matrix(r, out), Error);
   EXPECT_EQ(out.size(), 0u);
+}
+
+// -- the digest ---------------------------------------------------------------
+
+/// FNV-1a 64 byte by byte: the value fnv1a64 must return at every level.
+std::uint64_t byte_loop(std::string_view bytes, std::uint64_t h) {
+  return simd::ref::fnv_bytes(
+      reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size(), h);
+}
+
+std::string random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rng.next());
+  return s;
+}
+
+std::vector<simd::Level> supported_levels() {
+  std::vector<simd::Level> out;
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (simd::level_supported(level)) out.push_back(level);
+  }
+  return out;
+}
+
+/// Puts back the SIMD level a digest case changes.
+struct LevelGuard {
+  LevelGuard() = default;
+  LevelGuard(const LevelGuard&) = delete;
+  LevelGuard& operator=(const LevelGuard&) = delete;
+  ~LevelGuard() { simd::clear_level_override(); }
+};
+
+// Lengths around the vector kernels' 512-byte group, at journal-frame and
+// cmeans-result sizes, and a 4.5 MB input, at every level.
+TEST(CkptCodec, FnvMatchesTheByteLoopAtEveryLevel) {
+  LevelGuard guard;
+  const std::string data = random_bytes((std::size_t{9} << 19) + 3, 99);
+  const std::vector<std::size_t> lengths = {
+      0, 1, 57, 511, 512, 513, 8192, 65535, 65536, 65537, data.size()};
+  Rng rng(5);
+  const std::vector<std::uint64_t> seeds = {0, kFnvOffsetBasis, 0xff, 0x100,
+                                            rng.next()};
+  for (const simd::Level level : supported_levels()) {
+    simd::set_level(level);
+    for (const std::size_t n : lengths) {
+      for (const std::uint64_t seed : seeds) {
+        const std::string_view v = std::string_view(data).substr(0, n);
+        ASSERT_EQ(fnv1a64(v, seed), byte_loop(v, seed))
+            << "level=" << simd::level_name(level) << " n=" << n
+            << " seed=" << seed;
+      }
+    }
+  }
+}
+
+// The seed is the state: hashing a, then b seeded with a's hash, equals
+// hashing a + b, wherever the split falls.
+TEST(CkptCodec, FnvChainsAtAnySplit) {
+  const std::string shortish = random_bytes(300, 3);
+  for (std::size_t cut = 0; cut <= shortish.size(); ++cut) {
+    const std::string_view v(shortish);
+    ASSERT_EQ(fnv1a64(v.substr(cut), fnv1a64(v.substr(0, cut))), fnv1a64(v))
+        << "cut=" << cut;
+  }
+  const std::string data = random_bytes(100000 + 777, 4);
+  const std::string_view v(data);
+  const std::uint64_t whole = fnv1a64(v, 0x100);
+  for (const std::size_t cut :
+       {std::size_t{0}, std::size_t{1}, std::size_t{511}, std::size_t{512},
+        std::size_t{4096 + 7}, data.size() - 1, data.size()}) {
+    EXPECT_EQ(fnv1a64(v.substr(cut), fnv1a64(v.substr(0, cut), 0x100)), whole)
+        << "cut=" << cut;
+  }
+}
+
+TEST(CkptCodec, MatrixDigestEqualsTheDigestOfTheWriterBytes) {
+  Rng rng(8);
+  const double awkward[] = {-0.0, 5e-324, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{0, 0}, {1, 1}, {3, 4}, {300, 301},
+        {1100, 130}}) {
+    linalg::MatrixD m(rows, cols, 0.0);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      m.data()[i] = i % 97 == 0 ? awkward[(i / 97) % 4] : rng.normal();
+    }
+    Writer w;
+    put_matrix(w, m);
+    for (const std::uint64_t seed : {kFnvOffsetBasis, std::uint64_t{0x100}}) {
+      EXPECT_EQ(fnv1a64_matrix(m, seed), fnv1a64(w.bytes(), seed))
+          << rows << " x " << cols << " seed=" << seed;
+    }
+  }
 }
 
 // -- snapshot framing -------------------------------------------------------

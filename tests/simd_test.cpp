@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -276,6 +277,83 @@ TEST_F(SimdTest, GemmBlockBitIdenticalAcrossLevels) {
                 << " alpha=" << sc.alpha << " beta=" << sc.beta;
           }
         }
+      }
+    }
+  }
+}
+
+// -- FNV-1a span --------------------------------------------------------------
+
+/// n random bytes from a 64-byte boundary on (base()).
+struct FnvBytes {
+  explicit FnvBytes(std::size_t n, std::uint64_t seed) : raw(n + 64) {
+    Rng rng(seed);
+    for (unsigned char& c : raw) c = static_cast<unsigned char>(rng.next());
+  }
+  const unsigned char* base() const {
+    const auto addr = reinterpret_cast<std::uintptr_t>(raw.data());
+    return raw.data() + (64 - addr % 64) % 64;
+  }
+  std::vector<unsigned char> raw;
+};
+
+void expect_fnv_span_matches(const simd::Kernels& kn, const unsigned char* p,
+                             std::size_t n, std::uint64_t h,
+                             const char* level) {
+  ASSERT_EQ(kn.fnv_span(p, n, h), simd::ref::fnv_bytes(p, n, h))
+      << "level=" << level << " n=" << n << " h=" << h;
+}
+
+/// Start states: low byte 0 and 0xff, and random ones.
+std::vector<std::uint64_t> fnv_states(Rng& rng) {
+  return {0, 0xff, 0xcbf29ce484222325ull, rng.next(), rng.next()};
+}
+
+// An integer kernel: every level must return the byte loop's exact value.
+// The vector forms work in 512-byte groups of 64-byte bit-plane blocks and
+// leave the rest to the byte loop, so every length up to 1200 covers zero,
+// one and two groups with every tail.
+TEST_F(SimdTest, FnvSpanMatchesTheByteLoopAtEveryShortLength) {
+  const FnvBytes bytes(1200, 11);
+  Rng rng(12);
+  for (const simd::Level level : supported_levels()) {
+    const simd::Kernels& kn = simd::kernels_for(level);
+    for (std::size_t n = 0; n <= 1200; ++n) {
+      for (const std::uint64_t h : fnv_states(rng)) {
+        expect_fnv_span_matches(kn, bytes.base(), n, h,
+                                simd::level_name(level));
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, FnvSpanMatchesTheByteLoopAtLongAndRandomLengths) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  const FnvBytes bytes(kMiB + 1, 21);
+  Rng rng(22);
+  std::vector<std::size_t> lengths = {4095, 4096, 4097, kMiB - 1, kMiB,
+                                      kMiB + 1};
+  for (int i = 0; i < 12; ++i) lengths.push_back(rng.next() % (kMiB + 1));
+  for (const simd::Level level : supported_levels()) {
+    const simd::Kernels& kn = simd::kernels_for(level);
+    for (const std::size_t n : lengths) {
+      for (const std::uint64_t h : fnv_states(rng)) {
+        expect_fnv_span_matches(kn, bytes.base(), n, h,
+                                simd::level_name(level));
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, FnvSpanMatchesTheByteLoopAtUnalignedStarts) {
+  const FnvBytes bytes(64 + 1500, 31);
+  for (const simd::Level level : supported_levels()) {
+    const simd::Kernels& kn = simd::kernels_for(level);
+    for (std::size_t skew = 1; skew < 64; ++skew) {
+      for (const std::size_t n : {511ul, 512ul, 1500ul}) {
+        expect_fnv_span_matches(kn, bytes.base() + skew, n,
+                                0x9e3779b97f4a7c15ull * skew,
+                                simd::level_name(level));
       }
     }
   }

@@ -27,6 +27,7 @@
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
 #include "core/schedule_policy.hpp"
+#include "ckpt/codec.hpp"
 #include "ckpt/store.hpp"
 #include "svc/client.hpp"
 #include "svc/journal.hpp"
@@ -187,6 +188,34 @@ TEST(JournalCodec, TornTailStopsCleanlyAtEveryTruncation) {
   const JournalReplay replay = decode_journal(corrupt);
   EXPECT_TRUE(replay.torn_tail);
   EXPECT_EQ(replay.records.size(), 0u);
+}
+
+// A DONE frame with a valid checksum (it is no MAC: anyone can reseal a
+// frame) that claims 2^32 - 1 result lines but holds none must end the
+// replay as a torn tail, not throw std::bad_alloc out of the decoder.
+TEST(JournalCodec, ImpossibleLineCountIsATornTail) {
+  JournalRecord start;
+  start.type = JournalRecordType::kStart;
+  start.job_id = 7;
+  JournalRecord done;
+  done.type = JournalRecordType::kDone;
+  done.job_id = 7;
+  done.digest = "0123456789abcdef";
+  std::string frame = encode_journal_record(done);
+  constexpr std::size_t kHeader = 24;  // magic, version, length, checksum
+  ASSERT_EQ(frame.size(), 57u);
+  for (std::size_t i = frame.size() - 4; i < frame.size(); ++i) frame[i] = '\xff';
+  const std::uint64_t sum = ckpt::fnv1a64(std::string_view(frame).substr(kHeader));
+  for (std::size_t i = 0; i < 8; ++i) {
+    frame[16 + i] = static_cast<char>(sum >> (8 * i));
+  }
+  const std::string first = encode_journal_record(start);
+  JournalReplay replay;
+  ASSERT_NO_THROW(replay = decode_journal(first + frame));
+  ASSERT_EQ(replay.records.size(), 1u);
+  EXPECT_EQ(replay.records[0].type, JournalRecordType::kStart);
+  EXPECT_TRUE(replay.torn_tail);
+  EXPECT_EQ(replay.bytes_consumed, first.size());
 }
 
 TEST(Journal, AppendsSurviveAcrossIncarnations) {
