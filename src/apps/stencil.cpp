@@ -169,10 +169,10 @@ StencilResult stencil_prs(core::Cluster& cluster,
   validate_grid(initial);
   PRS_REQUIRE(params.max_iterations >= 1, "need at least one iteration");
   // The wavefront halo graph replaces the per-iteration MapReduce rounds
-  // when the task-graph engine pipelines iterations. Fault injection and
-  // checkpointing need the iterative driver's cut points, so they stay on
-  // the stage path (as does modeled mode, whose map bodies are empty).
-  if (cfg.engine == core::ExecEngine::kGraph && cfg.pipeline_depth > 1 &&
+  // when iterations are pipelined. Fault injection and checkpointing need
+  // the iterative driver's cut points, so they stay on the per-iteration
+  // path (as does modeled mode, whose map bodies are empty).
+  if (cfg.pipeline_depth > 1 &&
       cfg.mode == core::ExecutionMode::kFunctional &&
       cfg.faults == nullptr && checkpoint == nullptr) {
     return stencil_graph(cluster, initial, params, cfg, stats_out);

@@ -61,8 +61,8 @@ ckpt::StateCodec stencil_state_codec(std::shared_ptr<StencilState> state,
                                      int* iterations = nullptr);
 
 /// Distributed relaxation on the cluster; numerically identical to
-/// stencil_serial. With the task-graph engine at pipeline_depth > 1 (and no
-/// faults/checkpointing, functional mode) this routes to stencil_graph.
+/// stencil_serial. At pipeline_depth > 1 (and no faults/checkpointing,
+/// functional mode) this routes to stencil_graph.
 StencilResult stencil_prs(core::Cluster& cluster,
                           const linalg::MatrixD& initial,
                           const StencilParams& params,

@@ -1,7 +1,7 @@
 // Fault-tolerant execution path of the PRS job runner.
 //
 // Engaged only when JobConfig::faults is set (run_job branches here); the
-// fault-free fast path in job_runner.hpp never touches this code, so its
+// fault-free job graph (core/job_graph.hpp) never touches this code, so its
 // virtual-time behaviour stays byte-identical with or without a fault plan.
 //
 // Tolerance mechanisms, layered over the same stage machinery:
@@ -40,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/partitioner.hpp"
 #include "core/pipeline.hpp"
 #include "core/schedule_policy.hpp"
 #include "fault/injector.hpp"
@@ -160,7 +159,6 @@ sim::Process ft_block_attempt(std::shared_ptr<FtNodeState<K, V>> ns,
   const FaultToleranceConfig& tol = ns->st->cfg.tolerance;
   const auto& spec = ns->ctx.spec();
   FatNode& node = ns->ctx.node();
-  const bool functional = ns->st->cfg.mode == ExecutionMode::kFunctional;
 
   for (int attempt = 0;; ++attempt) {
     if (ns->blocks[bi].done || ns->ctl->aborted) co_return;
@@ -182,7 +180,6 @@ sim::Process ft_block_attempt(std::shared_ptr<FtNodeState<K, V>> ns,
     }
 
     const InputSlice slice = ns->blocks[bi].slice;
-    const auto items = static_cast<double>(slice.size());
     ns->emitters.emplace_back();
     Emitter<K, V>* em = &ns->emitters.back();
     const std::size_t em_idx = ns->emitters.size() - 1;
@@ -192,15 +189,10 @@ sim::Process ft_block_attempt(std::shared_ptr<FtNodeState<K, V>> ns,
     sim::Future<sim::Unit> op;
     double est = 0.0;
     double depth = 1.0;
+    const auto& fn = map_fn(spec, ns->st->cfg.mode, use_gpu);
     if (!use_gpu) {
-      simdev::CpuTask t;
-      t.name = spec.name + ":map:cpu";
-      t.workload.flops = items * spec.cpu_flops_per_item;
-      t.workload.mem_traffic = items * spec.cpu_traffic_per_item();
-      t.compute_efficiency = spec.efficiency.cpu_compute;
-      t.memory_efficiency = spec.efficiency.cpu_memory;
+      simdev::CpuTask t = cpu_map_task(spec, slice);
       t.failed = failed;
-      const auto& fn = functional ? spec.cpu_map : spec.modeled_map;
       if (fn) t.body = [ns, fn, slice, em] { fn(slice, *em); };
       est = node.cpu().task_duration(t);
       depth = ns->cpu_depth;
@@ -217,21 +209,14 @@ sim::Process ft_block_attempt(std::shared_ptr<FtNodeState<K, V>> ns,
       auto& gpu = node.gpu(card);
       simdev::Stream& stream = gpu.stream(stream_idx);
       if (!spec.gpu_data_cached) {
-        const double h2d = items * spec.item_bytes;
+        const double h2d = static_cast<double>(slice.size()) * spec.item_bytes;
         (void)stream.memcpy_h2d(h2d);
         if (gpu.spec().pcie_bandwidth > 0.0) {
           est += h2d / gpu.spec().pcie_bandwidth;
         }
       }
-      simdev::KernelDesc k;
-      k.name = spec.name + ":map:gpu";
-      k.workload.flops = items * spec.gpu_flops_per_item;
-      k.workload.mem_traffic = items * spec.gpu_traffic_per_item();
-      k.compute_efficiency = spec.efficiency.gpu_compute;
-      k.memory_efficiency = spec.efficiency.gpu_memory;
+      simdev::KernelDesc k = gpu_map_kernel(spec, slice);
       k.failed = failed;
-      const auto& fn = functional ? spec.gpu_map_or_default()
-                                  : spec.modeled_map;
       if (fn) k.body = [ns, fn, slice, em] { fn(slice, *em); };
       est += gpu.kernel_duration(k);
       depth = ns->gpu_depth;
@@ -315,58 +300,6 @@ sim::Process ft_recv_pump(std::shared_ptr<FtNodeState<K, V>> ns, int src,
   ev.rank = src;
   ev.payload = std::move(m);
   ns->events->send(ev);
-}
-
-/// ReduceStage::submit_device_tasks plus a modeled-duration estimate for
-/// the reduce deadline (sum over submitted pieces — a safe over-estimate).
-template <typename K, typename V>
-std::vector<sim::Future<sim::Unit>> ft_submit_reduce(
-    std::shared_ptr<FtNodeState<K, V>> ns, std::size_t reduce_pairs,
-    double& est) {
-  auto& st = *ns->st;
-  const auto& spec = ns->ctx.spec();
-  FatNode& node = ns->ctx.node();
-  const auto rk = static_cast<std::size_t>(ns->ctx.rank);
-  std::vector<sim::Future<sim::Unit>> futs;
-  est = 0.0;
-  if (reduce_pairs == 0) return futs;
-  const double cpu_pairs =
-      static_cast<double>(reduce_pairs) * st.cpu_fraction[rk];
-  const double gpu_pairs = static_cast<double>(reduce_pairs) - cpu_pairs;
-  if (cpu_pairs > 0.0 && ns->cpu_ok()) {
-    simdev::CpuTask t;
-    t.name = spec.name + ":reduce:cpu";
-    t.workload.flops = cpu_pairs * spec.reduce_flops_per_pair;
-    t.workload.mem_traffic = cpu_pairs * spec.pair_bytes;
-    t.compute_efficiency = spec.efficiency.cpu_compute;
-    t.memory_efficiency = spec.efficiency.cpu_memory;
-    est += node.cpu().task_duration(t);
-    futs.push_back(node.cpu().submit(std::move(t)));
-    ++st.reduce_tasks;
-  }
-  if (gpu_pairs > 0.0 && ns->gpu_ok()) {
-    const double per_card =
-        gpu_pairs / static_cast<double>(node.gpu_count());
-    for (int g = 0; g < node.gpu_count(); ++g) {
-      auto& gpu = node.gpu(g);
-      auto& stream = gpu.default_stream();
-      futs.push_back(stream.memcpy_h2d(per_card * spec.pair_bytes));
-      simdev::KernelDesc k;
-      k.name = spec.name + ":reduce:gpu";
-      k.workload.flops = per_card * spec.reduce_flops_per_pair;
-      k.workload.mem_traffic = per_card * spec.pair_bytes;
-      k.compute_efficiency = spec.efficiency.gpu_compute;
-      k.memory_efficiency = spec.efficiency.gpu_memory;
-      est += gpu.kernel_duration(k);
-      if (gpu.spec().pcie_bandwidth > 0.0) {
-        est += 2.0 * per_card * spec.pair_bytes / gpu.spec().pcie_bandwidth;
-      }
-      futs.push_back(stream.launch(std::move(k)));
-      futs.push_back(stream.memcpy_d2h(per_card * spec.pair_bytes));
-      ++st.reduce_tasks;
-    }
-  }
-  return futs;
 }
 
 /// The fault-tolerant per-node supervisor: runs the same map -> combine ->
@@ -463,40 +396,26 @@ sim::Process ft_node_main(Cluster& cluster,
   const int cards = ns->gpu_ok() ? ns->ctx.node().gpu_count() : 0;
   const int streams = std::max(1, st->gpu_streams[rk]);
   const JobShape shape = job_shape(spec);
+  const MapStage<K, V> planner(ns->ctx);
   for (const InputSlice& partition : st->node_partitions[rk]) {
     if (partition.empty()) continue;
     auto dispatch_pause = sim::delay(sim, calib::kPrsIterationOverhead);
     co_await dispatch_pause;
     std::size_t first = ns->blocks.size();
     if (policy->dispatch() == SchedulingMode::kStatic) {
-      auto [cpu_part, gpu_part] = partition.split_at_fraction(
-          ns->cpu_ok() ? (cards > 0 ? p : 1.0) : 0.0);
-      if (!cpu_part.empty() && ns->cpu_ok()) {
-        const int n_blocks = roofline::AnalyticScheduler::cpu_block_count(
-            ns->ctx.node().cpu().cores(), cfg.cpu_block_multiplier);
-        for (const InputSlice& b :
-             cpu_part.blocks(static_cast<std::size_t>(n_blocks))) {
-          typename FtNodeState<K, V>::Block blk;
-          blk.slice = b;
-          ns->blocks.push_back(blk);
-        }
+      const auto plan = planner.plan_static(partition);
+      for (const InputSlice& b : plan.cpu_blocks) {
+        typename FtNodeState<K, V>::Block blk;
+        blk.slice = b;
+        ns->blocks.push_back(blk);
       }
-      if (!gpu_part.empty() && cards > 0) {
-        const auto n_blocks =
-            static_cast<std::size_t>(streams) *
-            static_cast<std::size_t>(cards);
-        std::size_t i = 0;
-        for (const InputSlice& b : gpu_part.blocks(n_blocks)) {
-          typename FtNodeState<K, V>::Block blk;
-          blk.slice = b;
-          blk.prefer_gpu = true;
-          blk.card = static_cast<int>(i % static_cast<std::size_t>(cards));
-          blk.stream = static_cast<int>(
-              (i / static_cast<std::size_t>(cards)) %
-              static_cast<std::size_t>(streams));
-          ++i;
-          ns->blocks.push_back(blk);
-        }
+      for (const auto& gb : plan.gpu_blocks) {
+        typename FtNodeState<K, V>::Block blk;
+        blk.slice = gb.slice;
+        blk.prefer_gpu = true;
+        blk.card = gb.card;
+        blk.stream = gb.stream;
+        ns->blocks.push_back(blk);
       }
     } else {
       const std::size_t block_items = policy->block_items(
@@ -650,24 +569,18 @@ sim::Process ft_node_main(Cluster& cluster,
   std::vector<simnet::Message> inbound;
   for (auto& [src, m] : inbound_by_src) inbound.push_back(std::move(m));
   std::size_t reduce_pairs = 0;
-  PairRun<K, V> reduced =
-      ReduceStage<K, V>(ns->ctx).merge(inbound, reduce_pairs);
+  ReduceStage<K, V> reduce(ns->ctx);
+  PairRun<K, V> reduced = reduce.merge(inbound, reduce_pairs);
   for (int round = 0; round < 2; ++round) {
     double est = 0.0;
     std::vector<sim::Future<sim::Unit>> futs;
     if (round == 0) {
-      futs = ft_submit_reduce(ns, reduce_pairs, est);
+      futs = reduce.submit_device_tasks(reduce_pairs, &est);
     } else if (ns->cpu_ok() && reduce_pairs > 0) {
       // Fallback: re-time the whole reduce on the CPU (the merge itself is
       // host-side and already done, so this is idempotent).
-      simdev::CpuTask t;
-      t.name = spec.name + ":reduce:cpu";
-      t.workload.flops = static_cast<double>(reduce_pairs) *
-                         spec.reduce_flops_per_pair;
-      t.workload.mem_traffic =
-          static_cast<double>(reduce_pairs) * spec.pair_bytes;
-      t.compute_efficiency = spec.efficiency.cpu_compute;
-      t.memory_efficiency = spec.efficiency.cpu_memory;
+      simdev::CpuTask t =
+          reduce_cpu_task(spec, static_cast<double>(reduce_pairs));
       est = ns->ctx.node().cpu().task_duration(t);
       futs.push_back(ns->ctx.node().cpu().submit(std::move(t)));
       ++st->reduce_tasks;
@@ -747,7 +660,6 @@ JobResult<K, V> run_job_tolerant(Cluster& cluster,
   fault::FaultInjector* inj = cfg.faults;
   cluster.set_fault_hooks(inj, inj);
   const int nodes = cluster.size();
-  const JobShape shape = job_shape(spec);
   const double t0 = sim.now();
   const ClusterCounters counters0 = snapshot_counters(cluster);
   const std::uint64_t retrans0 = cluster.fabric().retransmits();
@@ -776,31 +688,7 @@ JobResult<K, V> run_job_tolerant(Cluster& cluster,
       if (alive_mask[static_cast<std::size_t>(r)]) alive.push_back(r);
     }
 
-    st = std::make_shared<JobState<K, V>>();
-    st->spec = &spec;
-    st->cfg = cfg;
-    st->n_items = n_items;
-    st->cpu_fraction.resize(static_cast<std::size_t>(nodes), 0.0);
-    st->gpu_streams.resize(static_cast<std::size_t>(nodes), 1);
-    std::vector<double> capability(static_cast<std::size_t>(nodes), 0.0);
-    for (int r : alive) {
-      const auto rk = static_cast<std::size_t>(r);
-      const NodeDecision d = policy->node_decision(cluster, shape, cfg, r);
-      st->cpu_fraction[rk] = d.cpu_fraction;
-      capability[rk] = d.capability;  // blacklisted ranks stay at 0
-    }
-    st->node_partitions = Partitioner::partition(n_items, capability,
-                                                 cfg.partitions_per_node);
-    for (int r : alive) {
-      const auto rk = static_cast<std::size_t>(r);
-      std::size_t node_items = 0;
-      for (const auto& part : st->node_partitions[rk]) {
-        node_items += part.size();
-      }
-      st->gpu_streams[rk] = policy->gpu_streams(
-          cluster, shape, cfg, r, node_items, st->cpu_fraction[rk]);
-    }
-
+    st = make_job_state(cluster, spec, cfg, n_items, policy, alive);
     ctl = std::make_shared<FtControl>(nodes);
     ctl->attempt = attempt;
     for (int r : alive) {

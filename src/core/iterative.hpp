@@ -295,16 +295,17 @@ IterativeResult<K, V> run_iterative(
   // iteration 0 is recoverable too.
   if (checkpointing && !resumed) write_snapshot(start_iter, false);
 
-  // Pipelined iteration windows (graph engine, pipeline_depth > 1): up to
-  // `depth` iterations run as one task graph, chained through per-iteration
+  // Pipelined iteration windows (pipeline_depth > 1): up to `depth`
+  // iterations run as one task graph, chained through per-iteration
   // advance nodes. Fault injection keeps the per-iteration tolerant path;
-  // a learning policy needs its per-iteration observe() calls, and the
-  // multi-tenant stage gate must fire (and may cancel) at every iteration
-  // boundary — all three clamp the window to one iteration, which is the
-  // plain run_job path below.
+  // dynamic blocks are cut only as their round runs, so they have no
+  // per-block copy-back to overlap; a learning policy needs its
+  // per-iteration observe() calls, and the multi-tenant stage gate must
+  // fire (and may cancel) at every iteration boundary — all of these clamp
+  // the window to one iteration, which is the plain run_job path below.
   const bool windowed =
-      iter_cfg.engine == ExecEngine::kGraph && iter_cfg.pipeline_depth > 1 &&
-      iter_cfg.faults == nullptr && iter_cfg.presumed_dead.empty() &&
+      iter_cfg.pipeline_depth > 1 && iter_cfg.faults == nullptr &&
+      iter_cfg.presumed_dead.empty() &&
       iter_cfg.policy->dispatch() == SchedulingMode::kStatic &&
       !iter_cfg.policy->learns() && !cfg.stage_gate;
 

@@ -64,19 +64,6 @@ enum class SchedulingMode {
   kDynamic,
 };
 
-/// Which runner executes the job's stages.
-enum class ExecEngine {
-  /// Stage loop in job_runner.hpp: per-phase barriers, bulk copy-back.
-  /// The reference path — byte-identical to the pre-graph runner.
-  kStages,
-  /// Task-graph runtime (prs::graph): the same stages built as one
-  /// dependency graph per job, with per-block D2H copy-back overlapped
-  /// against sibling compute and immediate first-failure propagation.
-  /// Numeric results are byte-identical to kStages; virtual time differs
-  /// only where overlap genuinely shortens the schedule.
-  kGraph,
-};
-
 /// Tolerance knobs used by the fault-tolerant execution path (engaged only
 /// when JobConfig::faults is set; fault-free jobs never read these).
 struct FaultToleranceConfig {
@@ -175,22 +162,18 @@ struct JobConfig {
   /// is set.
   std::vector<int> presumed_dead;
 
-  /// Execution engine. kGraph builds each job as one task graph; see
-  /// DESIGN.md §4h for the routing rules (dynamic scheduling and
-  /// crash/link fault plans fall back to the stage runner).
-  ExecEngine engine = ExecEngine::kStages;
-
-  /// Iteration pipelining depth for run_iterative on the graph engine:
-  /// up to `depth` iterations are in flight, iteration i+1's map on rank r
-  /// starting once iteration i's reduce on r finished (plus the state
-  /// broadcast for apps that carry state). 1 = no pipelining. Read only
-  /// when engine == kGraph.
+  /// Pipelining depth (DESIGN.md §4h). Above 1, each static-dispatch GPU
+  /// block copies its intermediates back as soon as its kernel ends, and
+  /// run_iterative keeps up to `depth` iterations in flight, iteration
+  /// i+1's map on rank r starting once iteration i's reduce on r finished
+  /// (plus the state broadcast for apps that carry state). 1 = no
+  /// pipelining.
   int pipeline_depth = 1;
 
-  /// When non-empty, the graph engine writes each built job graph as
-  /// Graphviz DOT to this path (deterministic node ordering) before
-  /// executing it. Iterative jobs overwrite the file per window; the
-  /// final content is the last graph built.
+  /// When non-empty, each built job graph is written as Graphviz DOT to
+  /// this path (deterministic node ordering) before it executes.
+  /// Iterative jobs overwrite the file per window; the final content is
+  /// the last graph built.
   std::string graph_dump_path;
 
   /// Measured host vector-throughput multiplier fed into Eq (8): the

@@ -1,22 +1,27 @@
-// The task-graph execution path of the PRS runner (JobConfig::engine ==
-// ExecEngine::kGraph).
+// The execution engine of fault-free PRS jobs: one task graph per job.
 //
 // One TaskGraph instance expresses a whole job: the per-node spine
-// start -> dispatch(p) -> {cpu/gpu blocks} -> merge -> shuffle -> reduce
-// -> gather, with the stage objects from core/pipeline.hpp acting as graph
-// builders (MapStage::plan_static enumerates the same blocks the legacy
-// enqueue produces, in the same order, so numeric results are
-// byte-identical to the stage runner).
+// start -> map rounds -> merge -> shuffle -> reduce -> gather, with the
+// stage objects from core/pipeline.hpp acting as graph builders. A map
+// round is one partition's sub-task scheduler round (§III.B.2):
+//   * static: a dispatch node charging the serial enqueue cost, then one
+//     node per planned CPU/GPU block (MapStage::plan_static);
+//   * dynamic: one node that charges the round's overhead, spawns the
+//     block-polling daemons (MapStage::start_dynamic) and completes when
+//     they drained the partition.
+// Rounds chain serially per node; a static round's blocks do not gate the
+// next round, so blocks of both partitions run side by side.
 //
 // Two copy-back shapes:
-//   * depth 1 (faithful): GPU intermediates copied back in bulk after the
-//     map barrier, exactly like MapStage::copy_back — the graph reproduces
-//     the legacy schedule, including virtual time.
-//   * depth >= 2 (overlap): each GPU block gets its own D2H node on the
-//     card's dedicated copy stream, dependent only on that block's kernel;
-//     on devices with more than one hardware queue the copy-back engine
-//     runs beside the remaining compute (Fermi-class 1-queue devices
-//     serialize either way and lose nothing).
+//   * depth 1: GPU intermediates copied back in bulk after the last map
+//     block (MapStage::copy_back), the paper's §III.A.2 schedule.
+//   * depth >= 2 (overlap): each static GPU block gets its own D2H node on
+//     the card's dedicated copy stream, dependent only on that block's
+//     kernel; on devices with more than one hardware queue the copy-back
+//     engine runs beside the remaining compute (Fermi-class 1-queue
+//     devices serialize either way and lose nothing). Dynamic blocks do
+//     not exist when the graph is built, so dynamic jobs keep the bulk
+//     copy-back at every depth.
 //
 // Failure semantics: a functional map/reduce payload that throws is caught
 // by a body wrapper that records the failing node in the GraphExecutor
@@ -36,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/partitioner.hpp"
 #include "core/pipeline.hpp"
 #include "graph/executor.hpp"
 #include "graph/task_graph.hpp"
@@ -118,43 +122,6 @@ struct GraphJob {
   std::vector<graph::NodeId> rank_done;
 };
 
-/// Builds the JobState (level-1/level-2 scheduling decisions) exactly as
-/// run_job does: per-node Eq (8) split and stream counts, capability-
-/// weighted partitioning. Shared by both engines so they cannot diverge.
-template <typename K, typename V>
-std::shared_ptr<JobState<K, V>> make_job_state(Cluster& cluster,
-                                               const MapReduceSpec<K, V>& spec,
-                                               const JobConfig& cfg,
-                                               std::size_t n_items,
-                                               SchedulePolicy* policy) {
-  auto st = std::make_shared<JobState<K, V>>();
-  st->spec = &spec;
-  st->cfg = cfg;
-  st->n_items = n_items;
-  const int nodes = cluster.size();
-  const JobShape shape = job_shape(spec);
-  st->cpu_fraction.resize(static_cast<std::size_t>(nodes), 0.0);
-  st->gpu_streams.resize(static_cast<std::size_t>(nodes), 1);
-  std::vector<double> capability(static_cast<std::size_t>(nodes), 0.0);
-  for (int r = 0; r < nodes; ++r) {
-    const auto rk = static_cast<std::size_t>(r);
-    const NodeDecision d = policy->node_decision(cluster, shape, cfg, r);
-    st->cpu_fraction[rk] = d.cpu_fraction;
-    capability[rk] = d.capability;
-  }
-  st->node_partitions =
-      Partitioner::partition(n_items, capability, cfg.partitions_per_node);
-  for (int r = 0; r < nodes; ++r) {
-    const auto rk = static_cast<std::size_t>(r);
-    std::size_t node_items = 0;
-    for (const auto& p : st->node_partitions[rk]) node_items += p.size();
-    st->gpu_streams[rk] = policy->gpu_streams(cluster, shape, cfg, r,
-                                              node_items,
-                                              st->cpu_fraction[rk]);
-  }
-  return st;
-}
-
 // -- graph node coroutines ----------------------------------------------------
 // Free coroutine functions taking their context by value/pointer: the
 // graph stores plain forwarding lambdas, so no coroutine frame ever
@@ -201,8 +168,9 @@ sim::Process g_startup(GraphRankState<K, V>* rs,
   done.set_value(sim::Unit{});
 }
 
-/// Per-partition sub-task scheduler round: the same serial dispatch costs
-/// node_main charges before enqueueing a partition's blocks.
+/// Static sub-task scheduler round: the round's overhead, then the serial
+/// cost of enqueueing the partition's blocks, which the block nodes
+/// depend on.
 template <typename K, typename V>
 sim::Process g_dispatch(GraphRankState<K, V>* rs,
                         sim::Promise<sim::Unit> done) {
@@ -211,6 +179,20 @@ sim::Process g_dispatch(GraphRankState<K, V>* rs,
   co_await d1;
   auto d2 = sim::delay(sim, rs->map->static_dispatch_cost());
   co_await d2;
+  done.set_value(sim::Unit{});
+}
+
+/// Dynamic sub-task scheduler round: the round's overhead, then idle
+/// daemons poll the partition's blocks until it is drained; the dispatch
+/// cost is charged per block as it is handed out.
+template <typename K, typename V>
+sim::Process g_dynamic_round(GraphRankState<K, V>* rs, InputSlice partition,
+                             sim::Promise<sim::Unit> done) {
+  auto& sim = rs->ctx.sim();
+  auto d = sim::delay(sim, calib::kPrsIterationOverhead);
+  co_await d;
+  auto drained = rs->map->start_dynamic(partition);
+  co_await drained;
   done.set_value(sim::Unit{});
 }
 
@@ -281,9 +263,8 @@ sim::Process g_block_d2h(GraphRankState<K, V>* rs, std::size_t block_index,
   done.set_value(sim::Unit{});
 }
 
-/// Map-stage epilogue. In faithful mode this is the bulk copy-back the
-/// legacy runner does after its barrier; in overlap mode the per-block
-/// D2H nodes already moved the bytes and only the host merge remains.
+/// Map-stage epilogue: the bulk copy-back (unless per-block D2H nodes
+/// already moved the bytes), then the host merge.
 template <typename K, typename V>
 sim::Process g_merge(GraphRankState<K, V>* rs, bool bulk_copy_back,
                      sim::Promise<sim::Unit> done) {
@@ -364,8 +345,8 @@ inline sim::Process g_state_broadcast(Cluster* cluster, int rank,
 
 // -- graph builder ------------------------------------------------------------
 
-/// Builds one whole job into `g`: the per-rank stage spine with the map
-/// blocks from MapStage::plan_static. `after_per_rank` (when non-empty)
+/// Builds one whole job into `g`: the per-rank stage spine with one map
+/// round per partition. `after_per_rank` (when non-empty)
 /// gates each rank's start node on an upstream node — the hook the
 /// pipelined iteration window uses to chain iterations. `name_prefix`
 /// namespaces node names (e.g. "i3:") so windowed graphs stay readable.
@@ -381,6 +362,7 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
   obs::TraceRecorder* tr = sim.tracer();
   if (tr != nullptr && !tr->enabled()) tr = nullptr;
   const int nodes = cluster.size();
+  const bool dynamic = policy->dispatch() == SchedulingMode::kDynamic;
   job.rank_done.assign(static_cast<std::size_t>(nodes), graph::kNoNode);
 
   for (int r = 0; r < nodes; ++r) {
@@ -396,13 +378,18 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
       rs->ctx.tr = tr;
       rs->ctx.runner_track =
           tr->track("node" + std::to_string(r), "runner");
+      // The level-2 decision this node runs with: Eq (8)'s CPU share p,
+      // Eqs (9)-(11)'s stream count, and the block granularities.
       tr->instant(
           rs->ctx.runner_track, "sched.decision", "sched",
           {obs::arg("p", st->cpu_fraction[rk]),
            obs::arg("gpu_streams", st->gpu_streams[rk]),
            obs::arg("partitions", static_cast<std::uint64_t>(
                                       st->node_partitions[rk].size())),
-           obs::arg("engine", "graph"),
+           obs::arg("cpu_blocks",
+                    roofline::AnalyticScheduler::cpu_block_count(
+                        rs->ctx.node().cpu().cores(),
+                        st->cfg.cpu_block_multiplier)),
            obs::arg("mode", policy->name())});
     }
     rs->map.emplace(rs->ctx);
@@ -421,14 +408,26 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
     if (!after_per_rank.empty()) g.depend(start, after_per_rank[rk]);
 
     // Partition rounds chain serially (the daemon thread dispatches one
-    // partition's blocks before moving to the next), but a partition's
-    // blocks do NOT gate the next round — exactly the legacy timeline.
+    // partition's blocks before moving to the next), but a static
+    // partition's blocks do NOT gate the next round.
     std::vector<graph::NodeId> tails;  // everything the merge waits on
     graph::NodeId prev_dispatch = start;
     int pi = 0;
     for (const auto& partition : st->node_partitions[rk]) {
       if (partition.empty()) continue;
-      const std::string pp = rp + "p" + std::to_string(pi) + ":";
+      const std::string pp = rp + "p" + std::to_string(pi++) + ":";
+      if (dynamic) {
+        const graph::NodeId round = g.add_work(
+            pp + "map:dynamic", "map", r,
+            [rs, partition](sim::Simulator& s,
+                            sim::Promise<sim::Unit> done) {
+              (void)s;
+              return g_dynamic_round<K, V>(rs, partition, std::move(done));
+            });
+        g.depend(round, prev_dispatch);
+        prev_dispatch = round;
+        continue;
+      }
       const graph::NodeId disp = g.add_work(
           pp + "dispatch", "delay", r,
           [rs](sim::Simulator& s, sim::Promise<sim::Unit> done) {
@@ -485,12 +484,12 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
           tails.push_back(n);
         }
       }
-      ++pi;
     }
 
-    const bool bulk = !overlap;
+    // Dynamic blocks do not exist yet, so they keep the bulk copy-back.
+    const bool bulk = !overlap || dynamic;
     const graph::NodeId merge = g.add_work(
-        rp + "merge", overlap ? "host" : "d2h", r,
+        rp + "merge", bulk ? "d2h" : "host", r,
         [rs, bulk](sim::Simulator& s, sim::Promise<sim::Unit> done) {
           (void)s;
           return g_merge<K, V>(rs, bulk, std::move(done));
@@ -534,9 +533,30 @@ inline void write_graph_dot(const graph::TaskGraph& g,
   if (!out) throw Error("failed writing graph dump file: " + path);
 }
 
-/// Runs one job through the task-graph engine. Numeric results are
-/// byte-identical to run_job's stage path; at pipeline_depth 1 virtual
-/// time matches too (the graph reproduces the legacy schedule).
+/// Drives the simulator until `exec`'s graph drains. A failed node's error
+/// surfaces as Error("task graph node '<name>' failed: ...").
+inline void run_graph(sim::Simulator& sim, graph::GraphExecutor& exec) {
+  const auto wrapped = [&exec](const std::exception& e) {
+    return Error("task graph node '" + exec.failure_site() +
+                 "' failed: " + e.what());
+  };
+  exec.start();
+  try {
+    sim.run();
+  } catch (const Error&) {
+    throw;  // already carries context (or is a runtime invariant)
+  } catch (const std::exception& e) {
+    if (exec.failed()) throw wrapped(e);
+    throw;
+  }
+  try {
+    exec.rethrow_if_failed();
+  } catch (const std::exception& e) {
+    throw wrapped(e);
+  }
+}
+
+/// Runs one fault-free job as one task graph (run_job's engine).
 template <typename K, typename V>
 JobResult<K, V> run_job_graph(Cluster& cluster,
                               const MapReduceSpec<K, V>& spec,
@@ -558,26 +578,7 @@ JobResult<K, V> run_job_graph(Cluster& cluster,
   const ClusterCounters counters0 = snapshot_counters(cluster);
   graph::GraphExecutor exec(sim, g);
   fail->exec = &exec;
-  exec.start();
-  try {
-    sim.run();
-  } catch (const Error&) {
-    throw;  // already carries context (or is a runtime invariant)
-  } catch (const std::exception& e) {
-    if (exec.failed()) {
-      throw Error("task graph node '" + exec.failure_site() +
-                  "' failed: " + e.what());
-    }
-    throw;
-  }
-  if (exec.failed()) {
-    try {
-      exec.rethrow_if_failed();
-    } catch (const std::exception& e) {
-      throw Error("task graph node '" + exec.failure_site() +
-                  "' failed: " + e.what());
-    }
-  }
+  run_graph(sim, exec);
   PRS_CHECK(exec.done(), "job graph drained with unfinished nodes");
   PRS_CHECK(job.st->nodes_done == cluster.size(),
             "job finished with missing nodes");
@@ -647,7 +648,9 @@ WindowResult<K, V> run_job_window(
   graph::NodeId prev_advance = graph::kNoNode;
   for (int j = 0; j < window; ++j) {
     const int it = first_iter + j;
-    const std::string prefix = "i" + std::to_string(it) + ":";
+    std::string prefix = "i";
+    prefix += std::to_string(it);
+    prefix += ':';
     const int tag_base = j * kGraphIterTagStride;
     jobs.emplace_back();
     GraphJob<K, V>& job = jobs.back();
@@ -699,26 +702,7 @@ WindowResult<K, V> run_job_window(
   const ClusterCounters counters0 = snapshot_counters(cluster);
   graph::GraphExecutor exec(sim, g);
   fail->exec = &exec;
-  exec.start();
-  try {
-    sim.run();
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception& e) {
-    if (exec.failed()) {
-      throw Error("task graph node '" + exec.failure_site() +
-                  "' failed: " + e.what());
-    }
-    throw;
-  }
-  if (exec.failed()) {
-    try {
-      exec.rethrow_if_failed();
-    } catch (const std::exception& e) {
-      throw Error("task graph node '" + exec.failure_site() +
-                  "' failed: " + e.what());
-    }
-  }
+  run_graph(sim, exec);
   PRS_CHECK(exec.done(), "iteration window drained with unfinished nodes");
   for (const auto& job : jobs) {
     PRS_CHECK(job.st->nodes_done == nodes,

@@ -1,12 +1,13 @@
 // Stage objects of the PRS execution pipeline (paper §III.A.2):
 // map -> combine -> shuffle -> reduce -> gather, one instance per node per
-// job, composed by the thin node_main orchestrator in job_runner.hpp.
+// job, composed by the job graph (core/job_graph.hpp) and by the
+// fault-tolerant supervisor (core/fault_tolerant.hpp).
 //
-// Each stage owns its logic, accounting, and tracing/metrics sites; every
-// co_await stays in node_main so the orchestrator remains the single
-// coroutine and stages stay plain (unit-sized, testable) objects. The only
-// auxiliary processes are the dynamic-mode device daemons and the block
-// dispatcher (§III.B.2), spawned by MapStage::start_dynamic.
+// Each stage owns its logic, accounting, and tracing/metrics sites; the
+// co_await sites stay in the graph's node coroutines and the supervisor,
+// so stages stay plain (unit-sized, testable) objects. The only auxiliary
+// processes are the dynamic-mode device daemons and the block dispatcher
+// (§III.B.2), spawned by MapStage::start_dynamic.
 //
 // NOTE (GCC 12): all co_await sites follow the named-temporary rule
 // documented in simtime/process.hpp.
@@ -27,6 +28,7 @@
 #include "core/cluster.hpp"
 #include "core/job.hpp"
 #include "core/mapreduce_spec.hpp"
+#include "core/partitioner.hpp"
 #include "core/schedule_policy.hpp"
 #include "exec/parallel.hpp"
 #include "obs/trace.hpp"
@@ -185,6 +187,47 @@ struct JobState {
   double gather_time = 0.0;
 };
 
+/// Builds the JobState (level-1/level-2 scheduling decisions): each
+/// node's Eq (8) split and stream count, and the capability-weighted
+/// partitions. `alive` (ascending ranks; empty means every rank) limits
+/// the decisions to those ranks; the others keep capability 0, so the
+/// Partitioner gives them nothing (the tolerant path's blacklist).
+template <typename K, typename V>
+std::shared_ptr<JobState<K, V>> make_job_state(
+    Cluster& cluster, const MapReduceSpec<K, V>& spec, const JobConfig& cfg,
+    std::size_t n_items, SchedulePolicy* policy,
+    std::vector<int> alive = {}) {
+  auto st = std::make_shared<JobState<K, V>>();
+  st->spec = &spec;
+  st->cfg = cfg;
+  st->n_items = n_items;
+  const auto nodes = static_cast<std::size_t>(cluster.size());
+  if (alive.empty()) {
+    for (int r = 0; r < cluster.size(); ++r) alive.push_back(r);
+  }
+  const JobShape shape = job_shape(spec);
+  st->cpu_fraction.resize(nodes, 0.0);
+  st->gpu_streams.resize(nodes, 1);
+  std::vector<double> capability(nodes, 0.0);
+  for (int r : alive) {
+    const auto rk = static_cast<std::size_t>(r);
+    const NodeDecision d = policy->node_decision(cluster, shape, cfg, r);
+    st->cpu_fraction[rk] = d.cpu_fraction;
+    capability[rk] = d.capability;
+  }
+  st->node_partitions =
+      Partitioner::partition(n_items, capability, cfg.partitions_per_node);
+  for (int r : alive) {
+    const auto rk = static_cast<std::size_t>(r);
+    std::size_t node_items = 0;
+    for (const auto& p : st->node_partitions[rk]) node_items += p.size();
+    st->gpu_streams[rk] = policy->gpu_streams(cluster, shape, cfg, r,
+                                              node_items,
+                                              st->cpu_fraction[rk]);
+  }
+  return st;
+}
+
 /// Everything the stages of one node share for one job run.
 template <typename K, typename V>
 struct StageContext {
@@ -204,19 +247,24 @@ struct StageContext {
 /// Per-node transient state for the map stage.
 template <typename K, typename V>
 struct NodeMapBatch {
-  std::deque<Emitter<K, V>> emitters;           // one per map task
-  std::vector<sim::Future<sim::Unit>> futures;  // one per async device op
-  std::uint64_t gpu_pairs = 0;                  // pairs produced on the GPU
-  std::uint64_t gpu_items = 0;                  // input items mapped on GPU
+  std::deque<Emitter<K, V>> emitters;  // one per map task
+  std::uint64_t gpu_pairs = 0;         // pairs produced on the GPU
+  std::uint64_t gpu_items = 0;         // input items mapped on GPU
 };
 
-/// Builds the timed CPU map task for `slice`. Its payload, emitting into a
-/// fresh emitter owned by `batch`, joins the job's pending set.
+/// The map function a device runs on `slice`: the real one in functional
+/// mode, the shape-only stand-in otherwise (empty: nothing to run).
 template <typename K, typename V>
-simdev::CpuTask make_cpu_map_task(JobState<K, V>& st,
-                                  NodeMapBatch<K, V>& batch,
-                                  InputSlice slice) {
-  const auto& spec = *st.spec;
+const typename MapReduceSpec<K, V>::MapFn& map_fn(
+    const MapReduceSpec<K, V>& spec, ExecutionMode mode, bool gpu) {
+  if (mode != ExecutionMode::kFunctional) return spec.modeled_map;
+  return gpu ? spec.gpu_map_or_default() : spec.cpu_map;
+}
+
+/// The timed CPU map task of `slice`, without a payload.
+template <typename K, typename V>
+simdev::CpuTask cpu_map_task(const MapReduceSpec<K, V>& spec,
+                             InputSlice slice) {
   const auto items = static_cast<double>(slice.size());
   simdev::CpuTask t;
   t.name = spec.name + ":map:cpu";
@@ -224,11 +272,32 @@ simdev::CpuTask make_cpu_map_task(JobState<K, V>& st,
   t.workload.mem_traffic = items * spec.cpu_traffic_per_item();
   t.compute_efficiency = spec.efficiency.cpu_compute;
   t.memory_efficiency = spec.efficiency.cpu_memory;
+  return t;
+}
 
+/// The timed GPU map kernel of `slice`, without a payload.
+template <typename K, typename V>
+simdev::KernelDesc gpu_map_kernel(const MapReduceSpec<K, V>& spec,
+                                  InputSlice slice) {
+  const auto items = static_cast<double>(slice.size());
+  simdev::KernelDesc k;
+  k.name = spec.name + ":map:gpu";
+  k.workload.flops = items * spec.gpu_flops_per_item;
+  k.workload.mem_traffic = items * spec.gpu_traffic_per_item();
+  k.compute_efficiency = spec.efficiency.gpu_compute;
+  k.memory_efficiency = spec.efficiency.gpu_memory;
+  return k;
+}
+
+/// Builds the timed CPU map task for `slice`. Its payload, emitting into a
+/// fresh emitter owned by `batch`, joins the job's pending set.
+template <typename K, typename V>
+simdev::CpuTask make_cpu_map_task(JobState<K, V>& st,
+                                  NodeMapBatch<K, V>& batch,
+                                  InputSlice slice) {
+  simdev::CpuTask t = cpu_map_task(*st.spec, slice);
   batch.emitters.emplace_back();
-  const auto& fn = st.cfg.mode == ExecutionMode::kFunctional
-                       ? spec.cpu_map
-                       : spec.modeled_map;
+  const auto& fn = map_fn(*st.spec, st.cfg.mode, /*gpu=*/false);
   if (fn) {
     auto* pending = &st.pending_maps;
     auto* p = pending->add(fn, slice, batch.emitters.back());
@@ -242,21 +311,11 @@ template <typename K, typename V>
 simdev::KernelDesc make_gpu_map_kernel(JobState<K, V>& st,
                                        NodeMapBatch<K, V>& batch,
                                        InputSlice slice) {
-  const auto& spec = *st.spec;
-  const auto items = static_cast<double>(slice.size());
-  simdev::KernelDesc k;
-  k.name = spec.name + ":map:gpu";
-  k.workload.flops = items * spec.gpu_flops_per_item;
-  k.workload.mem_traffic = items * spec.gpu_traffic_per_item();
-  k.compute_efficiency = spec.efficiency.gpu_compute;
-  k.memory_efficiency = spec.efficiency.gpu_memory;
-
+  simdev::KernelDesc k = gpu_map_kernel(*st.spec, slice);
   batch.emitters.emplace_back();
   Emitter<K, V>* emitter = &batch.emitters.back();
   NodeMapBatch<K, V>* b = &batch;
-  const auto& fn = st.cfg.mode == ExecutionMode::kFunctional
-                       ? spec.gpu_map_or_default()
-                       : spec.modeled_map;
+  const auto& fn = map_fn(*st.spec, st.cfg.mode, /*gpu=*/true);
   if (fn) {
     auto* pending = &st.pending_maps;
     auto* p = pending->add(fn, slice, *emitter);
@@ -497,9 +556,9 @@ class MapStage {
 
   /// The static sub-task plan for one partition: CPU share into
   /// multiplier x cores blocks, GPU share into one block per (card,
-  /// stream) round-robin. Pure description — shared by the legacy enqueue
-  /// below and the task-graph builder (core/job_graph.hpp), so both paths
-  /// produce the same blocks in the same order.
+  /// stream) round-robin. Pure description — shared by the job graph's
+  /// builder (core/job_graph.hpp) and the tolerant supervisor, so both
+  /// paths produce the same blocks in the same order.
   struct StaticPlan {
     std::vector<InputSlice> cpu_blocks;
     std::vector<GpuBlockPlan> gpu_blocks;
@@ -539,31 +598,6 @@ class MapStage {
     return plan;
   }
 
-  /// Static dispatch of one partition: enqueues every planned block on its
-  /// device. Pure enqueue, no await.
-  void dispatch_static(const InputSlice& partition) {
-    auto& st = *ctx_.st;
-    FatNode& node = ctx_.node();
-    const auto& spec = ctx_.spec();
-    const StaticPlan plan = plan_static(partition);
-    for (const InputSlice& b : plan.cpu_blocks) {
-      simdev::CpuTask t = make_cpu_map_task(st, batch_, b);
-      batch_.futures.push_back(node.cpu().submit(std::move(t)));
-      ++st.map_tasks;
-    }
-    for (const GpuBlockPlan& gb : plan.gpu_blocks) {
-      simdev::Stream& stream = node.gpu(gb.card).stream(gb.stream);
-      if (!spec.gpu_data_cached) {
-        batch_.futures.push_back(stream.memcpy_h2d(
-            static_cast<double>(gb.slice.size()) * spec.item_bytes));
-      }
-      simdev::KernelDesc k = make_gpu_map_kernel(st, batch_, gb.slice);
-      batch_.futures.push_back(stream.launch(std::move(k)));
-      batch_.gpu_items += gb.slice.size();
-      ++st.map_tasks;
-    }
-  }
-
   /// Dynamic dispatch of one partition: spawns the per-device block
   /// workers and the serial dispatcher; the returned future resolves when
   /// every worker has drained the channel and finished.
@@ -600,11 +634,6 @@ class MapStage {
     }
     sim.spawn(block_dispatcher(sim, st, std::move(blocks_list), *blocks));
     return all_done.get_future();
-  }
-
-  /// Barrier over this node's asynchronous map work (static mode).
-  sim::Future<sim::Unit> barrier() {
-    return sim::when_all(ctx_.sim(), batch_.futures);
   }
 
   /// Intermediate data in GPU memory is copied back to CPU memory after
@@ -709,6 +738,19 @@ class ShuffleStage {
 
 // -- reduce stage -------------------------------------------------------------
 
+/// The timed CPU reduce task over `pairs` key/value pairs.
+template <typename K, typename V>
+simdev::CpuTask reduce_cpu_task(const MapReduceSpec<K, V>& spec,
+                                double pairs) {
+  simdev::CpuTask t;
+  t.name = spec.name + ":reduce:cpu";
+  t.workload.flops = pairs * spec.reduce_flops_per_pair;
+  t.workload.mem_traffic = pairs * spec.pair_bytes;
+  t.compute_efficiency = spec.efficiency.cpu_compute;
+  t.memory_efficiency = spec.efficiency.cpu_memory;
+  return t;
+}
+
 /// Merges inbound shuffle payloads and charges the reduce tasks on the
 /// devices, split like the map stage. GPU reduce work is spread across all
 /// cards (each with its own PCI-E link), mirroring the map-stage D2H path.
@@ -732,8 +774,11 @@ class ReduceStage {
     return std::move(fold_by_destination(ctx_.spec(), true, runs, 1)[0]);
   }
 
+  /// Submits the reduce tasks, split CPU/GPU by the node's p. With `est`,
+  /// adds their modeled durations (plus the GPU share's PCI-E staging) to
+  /// it: a safe over-estimate for the tolerant path's reduce deadline.
   std::vector<sim::Future<sim::Unit>> submit_device_tasks(
-      std::size_t reduce_pairs) {
+      std::size_t reduce_pairs, double* est = nullptr) {
     auto& st = *ctx_.st;
     const auto& spec = ctx_.spec();
     FatNode& node = ctx_.node();
@@ -743,12 +788,8 @@ class ReduceStage {
                            st.cpu_fraction[ctx_.rk()];
     const double gpu_pairs = static_cast<double>(reduce_pairs) - cpu_pairs;
     if (cpu_pairs > 0.0) {
-      simdev::CpuTask t;
-      t.name = spec.name + ":reduce:cpu";
-      t.workload.flops = cpu_pairs * spec.reduce_flops_per_pair;
-      t.workload.mem_traffic = cpu_pairs * spec.pair_bytes;
-      t.compute_efficiency = spec.efficiency.cpu_compute;
-      t.memory_efficiency = spec.efficiency.cpu_memory;
+      simdev::CpuTask t = reduce_cpu_task(spec, cpu_pairs);
+      if (est != nullptr) *est += node.cpu().task_duration(t);
       futs.push_back(node.cpu().submit(std::move(t)));
       ++st.reduce_tasks;
     }
@@ -758,7 +799,8 @@ class ReduceStage {
       const double per_card =
           gpu_pairs / static_cast<double>(node.gpu_count());
       for (int g = 0; g < node.gpu_count(); ++g) {
-        auto& stream = node.gpu(g).default_stream();
+        auto& gpu = node.gpu(g);
+        auto& stream = gpu.default_stream();
         // Reduce input starts in CPU memory after the shuffle: stage it.
         futs.push_back(stream.memcpy_h2d(per_card * spec.pair_bytes));
         simdev::KernelDesc k;
@@ -767,6 +809,13 @@ class ReduceStage {
         k.workload.mem_traffic = per_card * spec.pair_bytes;
         k.compute_efficiency = spec.efficiency.gpu_compute;
         k.memory_efficiency = spec.efficiency.gpu_memory;
+        if (est != nullptr) {
+          *est += gpu.kernel_duration(k);
+          if (gpu.spec().pcie_bandwidth > 0.0) {
+            *est += 2.0 * per_card * spec.pair_bytes /
+                    gpu.spec().pcie_bandwidth;
+          }
+        }
         futs.push_back(stream.launch(std::move(k)));
         futs.push_back(stream.memcpy_d2h(per_card * spec.pair_bytes));
         ++st.reduce_tasks;

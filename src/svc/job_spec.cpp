@@ -79,8 +79,6 @@ core::JobConfig JobSpec::job_config() const {
   cfg.use_cpu = !gpu_only;
   cfg.use_gpu = !cpu_only;
   cfg.cpu_fraction_override = cpu_fraction;
-  cfg.engine = engine == "graph" ? core::ExecEngine::kGraph
-                                 : core::ExecEngine::kStages;
   cfg.pipeline_depth = pipeline_depth;
   return cfg;
 }
@@ -129,18 +127,13 @@ void JobSpec::validate() const {
   if (app == "stencil" && !functional) {
     throw InvalidArgument("stencil requires functional mode");
   }
-  if (engine != "stages" && engine != "graph") {
-    throw InvalidArgument("unknown engine '" + engine + "' (stages|graph)");
-  }
   if (pipeline_depth < 1 || pipeline_depth > 64) {
     throw InvalidArgument("pipeline_depth must be in [1,64]");
   }
-  if (pipeline_depth > 1 && engine != "graph") {
-    throw InvalidArgument("pipeline_depth > 1 requires engine=graph");
-  }
-  if (engine == "graph" && policy == "dynamic") {
+  if (pipeline_depth > 1 && policy == "dynamic") {
     throw InvalidArgument(
-        "engine=graph requires a static-dispatch policy (static|adaptive)");
+        "pipeline_depth > 1 requires a static-dispatch policy "
+        "(static|adaptive), not policy=dynamic");
   }
 }
 
@@ -173,7 +166,6 @@ std::string JobSpec::to_tokens() const {
     emit("cpu_fraction", std::to_string(cpu_fraction));
   }
   if (seed != def.seed) emit("seed", std::to_string(seed));
-  if (engine != def.engine) emit("engine", engine);
   if (pipeline_depth != def.pipeline_depth) {
     emit("pipeline_depth", std::to_string(pipeline_depth));
   }
@@ -227,8 +219,6 @@ bool apply_job_spec_field(JobSpec& spec, const std::string& key,
     ok = parse_double(value, spec.cpu_fraction);
   } else if (key == "seed") {
     ok = parse_u64(value, spec.seed);
-  } else if (key == "engine") {
-    spec.engine = value;
   } else if (key == "pipeline_depth") {
     ok = parse_int(value, spec.pipeline_depth);
   } else if (key == "fault_spec") {

@@ -33,8 +33,7 @@ struct JobSpec {
   bool cpu_only = false;
   double cpu_fraction = -1.0;
   std::uint64_t seed = 42;
-  std::string engine = "stages";  // stages | graph (task-graph runtime)
-  int pipeline_depth = 1;        // graph engine: iterations in flight
+  int pipeline_depth = 1;        // iterations in flight (static policies)
 
   // Fault injection / checkpointing ride unchanged under the service.
   std::string fault_spec;

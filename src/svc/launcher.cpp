@@ -1,5 +1,6 @@
 #include "svc/launcher.hpp"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 
@@ -51,6 +52,16 @@ std::string stats_digest(const core::JobStats& stats) {
   return writer_digest(w);
 }
 
+/// The header line's analytic CPU share p, in percent (Eq (8)). A node
+/// without cards is priced with one, as SchedulePolicy::node_decision does;
+/// the runtime then maps everything on its CPU.
+double split_percent(const roofline::AnalyticScheduler& sched, double ai,
+                     bool gpu_staged, int gpus) {
+  return sched.workload_split(ai, gpu_staged, std::max(1, gpus))
+             .cpu_fraction *
+         100.0;
+}
+
 }  // namespace
 
 LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
@@ -68,8 +79,7 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
     linef(out.lines, "%s: N=%zu D=%zu M=%d iters<=%d | AI=%g -> p=%.1f%%",
           spec.app.c_str(), spec.points, spec.dims, spec.clusters,
           spec.iterations, ai,
-          sched.workload_split(ai, false, node.gpus_per_node).cpu_fraction *
-              100.0);
+          split_percent(sched, ai, false, node.gpus_per_node));
     if (spec.functional) {
       auto ds = data::generate_blobs(rng, spec.points, spec.dims,
                                      spec.clusters, 10.0, 1.0);
@@ -120,8 +130,7 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
         apps::gmm_arithmetic_intensity(spec.clusters, spec.dims);
     linef(out.lines, "gmm: N=%zu D=%zu M=%d iters<=%d | AI=%g -> p=%.1f%%",
           spec.points, spec.dims, spec.clusters, spec.iterations, ai,
-          sched.workload_split(ai, false, node.gpus_per_node).cpu_fraction *
-              100.0);
+          split_percent(sched, ai, false, node.gpus_per_node));
     if (spec.functional) {
       auto ds = data::generate_blobs(rng, spec.points, spec.dims,
                                      spec.clusters, 10.0, 1.0);
@@ -151,8 +160,7 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
     const double ai = apps::gemv_arithmetic_intensity();
     linef(out.lines, "gemv: %zu x %zu | AI=%g -> p=%.1f%%", spec.rows,
           spec.cols, ai,
-          sched.workload_split(ai, true, node.gpus_per_node).cpu_fraction *
-              100.0);
+          split_percent(sched, ai, true, node.gpus_per_node));
     if (spec.functional) {
       auto a = data::random_matrix(rng, spec.rows, spec.cols);
       auto x = data::random_vector(rng, spec.cols);
@@ -171,8 +179,7 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
         static_cast<double>(spec.rows), spec.dims, spec.cols);
     linef(out.lines, "dgemm: (%zu x %zu) * (%zu x %zu) | AI=%g -> p=%.1f%%",
           spec.rows, spec.dims, spec.dims, spec.cols, ai,
-          sched.workload_split(ai, true, node.gpus_per_node).cpu_fraction *
-              100.0);
+          split_percent(sched, ai, true, node.gpus_per_node));
     if (spec.functional) {
       auto a = data::random_matrix(rng, spec.rows, spec.dims);
       auto b = data::random_matrix(rng, spec.dims, spec.cols);
@@ -189,8 +196,7 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
     const double ai = apps::stencil_arithmetic_intensity();
     linef(out.lines, "stencil: %zu x %zu grid, iters<=%d | AI=%g -> p=%.1f%%",
           spec.dims, spec.cols, spec.iterations, ai,
-          sched.workload_split(ai, false, node.gpus_per_node).cpu_fraction *
-              100.0);
+          split_percent(sched, ai, false, node.gpus_per_node));
     auto grid = data::random_matrix(rng, spec.dims, spec.cols);
     apps::StencilParams p;
     p.max_iterations = spec.iterations;
@@ -209,8 +215,7 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
     linef(out.lines,
           "fft batch: %zu signals x %zu samples | AI=%g -> p=%.1f%%",
           spec.points, spec.cols, ai,
-          sched.workload_split(ai, true, node.gpus_per_node).cpu_fraction *
-              100.0);
+          split_percent(sched, ai, true, node.gpus_per_node));
     stats = apps::fft_batch_prs_modeled(cluster, spec.points, spec.cols,
                                         cfg);
   } else if (spec.app == "wordcount") {

@@ -115,7 +115,14 @@ std::string handle_request(JobServer& server, const std::string& line,
         dedup = dedup_it->second;
         kv.erase(dedup_it);
       }
-      JobSpec spec = parse_job_spec(kv);
+      // A spec that does not parse (an unknown field or a malformed
+      // value) is a bad spec, like one that fails validation at admission.
+      JobSpec spec;
+      try {
+        spec = parse_job_spec(kv);
+      } catch (const InvalidArgument& e) {
+        return format_error(admit_code_name(AdmitCode::kBadSpec), e.what());
+      }
       auto res = server.submit(tenant, std::move(spec), dedup);
       if (res.deduped) {
         return "OK id=" + std::to_string(res.job_id) + " deduped=1\n";

@@ -32,7 +32,7 @@ TEST(Cli, ParsesAllValueOptions) {
   EXPECT_TRUE(parse({"--app=gmm", "--testbed=bigred2", "--nodes=8",
                      "--gpus=2", "--points=12345", "--dims=60",
                      "--clusters=7", "--iterations=3", "--rows=11",
-                     "--cols=22", "--scheduling=dynamic",
+                     "--cols=22", "--policy=dynamic",
                      "--cpu-fraction=0.25", "--seed=9"},
                     o, err))
       << err;
@@ -46,7 +46,7 @@ TEST(Cli, ParsesAllValueOptions) {
   EXPECT_EQ(o.iterations, 3);
   EXPECT_EQ(o.rows, 11u);
   EXPECT_EQ(o.cols, 22u);
-  EXPECT_EQ(o.scheduling, "dynamic");
+  EXPECT_EQ(o.policy, "dynamic");
   EXPECT_DOUBLE_EQ(o.cpu_fraction, 0.25);
   EXPECT_EQ(o.seed, 9u);
 }
@@ -69,30 +69,63 @@ TEST(Cli, RejectsUnknownAndMalformed) {
   EXPECT_FALSE(parse({"--nodes=0"}, o, err));
   EXPECT_FALSE(parse({"--cpu-fraction=1.5"}, o, err));
   EXPECT_FALSE(parse({"--testbed=mars"}, o, err));
-  EXPECT_FALSE(parse({"--scheduling=magic"}, o, err));
   EXPECT_FALSE(parse({"--policy=greedy"}, o, err));
   EXPECT_FALSE(parse({"positional"}, o, err));
 }
 
 TEST(Cli, PolicySelection) {
-  // --policy accepts the three level-2 policies and wins over the legacy
-  // --scheduling spelling; without it, --scheduling still decides.
+  // --policy accepts the three level-2 policies; static is the default.
   Options o;
   std::string err;
   ASSERT_TRUE(parse({"--policy=adaptive"}, o, err)) << err;
-  EXPECT_EQ(o.policy_name(), "adaptive");
+  EXPECT_EQ(o.policy, "adaptive");
   // Adaptive refines the static dispatch path.
   EXPECT_EQ(o.job_config().scheduling, core::SchedulingMode::kStatic);
 
   Options o2;
-  ASSERT_TRUE(parse({"--scheduling=dynamic", "--policy=static"}, o2, err));
-  EXPECT_EQ(o2.policy_name(), "static");
+  ASSERT_TRUE(parse({}, o2, err));
+  EXPECT_EQ(o2.policy, "static");
   EXPECT_EQ(o2.job_config().scheduling, core::SchedulingMode::kStatic);
 
   Options o3;
-  ASSERT_TRUE(parse({"--scheduling=dynamic"}, o3, err));
-  EXPECT_EQ(o3.policy_name(), "dynamic");
+  ASSERT_TRUE(parse({"--policy=dynamic"}, o3, err));
+  EXPECT_EQ(o3.policy, "dynamic");
   EXPECT_EQ(o3.job_config().scheduling, core::SchedulingMode::kDynamic);
+}
+
+TEST(Cli, EngineAndSchedulingAreUnknownOptions) {
+  // One engine runs every job and --policy names the scheduler, so the
+  // flags that chose between them are gone.
+  for (const char* arg : {"--engine=graph", "--engine=stages",
+                          "--scheduling=dynamic", "--scheduling=static"}) {
+    Options o;
+    std::string err;
+    EXPECT_FALSE(parse({arg}, o, err)) << arg;
+    EXPECT_NE(err.find("unknown option"), std::string::npos) << err;
+  }
+}
+
+TEST(Cli, PipelineDepthAndGraphDumpNeedNoEngineFlag) {
+  Options o;
+  std::string err;
+  ASSERT_TRUE(parse({"--pipeline-depth=4", "--graph-dump=/tmp/job.dot"}, o,
+                    err))
+      << err;
+  EXPECT_EQ(o.job_config().pipeline_depth, 4);
+  EXPECT_EQ(o.job_config().graph_dump_path, "/tmp/job.dot");
+  Options adaptive;
+  EXPECT_TRUE(parse({"--pipeline-depth=2", "--policy=adaptive"}, adaptive,
+                    err))
+      << err;
+  // Dynamic blocks exist only once their round runs: nothing to pipeline.
+  Options dynamic;
+  EXPECT_FALSE(parse({"--pipeline-depth=2", "--policy=dynamic"}, dynamic,
+                     err));
+  EXPECT_NE(err.find("--policy=dynamic"), std::string::npos) << err;
+  Options shallow;
+  EXPECT_TRUE(parse({"--pipeline-depth=1", "--policy=dynamic"}, shallow,
+                    err))
+      << err;
 }
 
 TEST(Cli, RejectsContradictoryBackends) {
@@ -130,7 +163,7 @@ TEST(Cli, NodeConfigMapping) {
 TEST(Cli, JobConfigMapping) {
   Options o;
   std::string err;
-  ASSERT_TRUE(parse({"--scheduling=dynamic", "--functional", "--cpu-only",
+  ASSERT_TRUE(parse({"--policy=dynamic", "--functional", "--cpu-only",
                      "--cpu-fraction=0.5"},
                     o, err));
   auto cfg = o.job_config();

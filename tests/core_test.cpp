@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/codec.hpp"
 #include "core/cluster.hpp"
 #include "core/iterative.hpp"
 #include "core/job_runner.hpp"
@@ -369,47 +370,43 @@ MapReduceSpec<int, long> pooled_toy_spec() {
 TEST(RunJob, MapPayloadsShareFewPoolRegionsAndIgnoreThreadCount) {
   constexpr std::size_t kItems = 20000;
   const auto spec = pooled_toy_spec();
-  for (const auto engine : {ExecEngine::kStages, ExecEngine::kGraph}) {
-    for (const auto mode :
-         {SchedulingMode::kStatic, SchedulingMode::kDynamic}) {
-      JobResult<int, long> at_one;
-      for (const int threads : {1, 4}) {
-        ScopedPoolSize pool(threads);
-        sim::Simulator simu;
-        Cluster cluster(simu, 2, NodeConfig{});
-        JobConfig cfg;
-        cfg.engine = engine;
-        cfg.scheduling = mode;
-        auto& host = exec::ThreadPool::instance();
-        const auto before = host.stats().jobs;
-        auto res = run_job(cluster, spec, cfg, kItems);
-        const auto regions = host.stats().jobs - before;
-        const std::string where =
-            std::string(engine == ExecEngine::kGraph ? "graph" : "stages") +
-            (mode == SchedulingMode::kDynamic ? "/dynamic" : "/static") +
-            " threads=" + std::to_string(threads);
-        EXPECT_EQ(res.output, expected_counts(kItems)) << where;
-        // Unbatched, every payload opened its own region. Static dispatch
-        // hands every block out before the first completes, so the job is
-        // one batch: the four GPU-share blocks (one per node and
-        // partition, far above the mean) run alone, then one payload, then
-        // the rest in one region. Dynamic dispatch hands blocks out one by
-        // one and the fast GPU streams finish them nearly one by one, so
-        // its batches only span one wave of devices.
-        ASSERT_GT(res.stats.map_tasks, 40u) << where;
-        if (mode == SchedulingMode::kStatic) {
-          EXPECT_LE(regions, 6u) << where;
-        } else {
-          EXPECT_LT(regions, res.stats.map_tasks) << where;
-        }
-        if (threads == 1) {
-          at_one = res;
-        } else {
-          EXPECT_EQ(res.output, at_one.output) << where;
-          EXPECT_EQ(res.stats.elapsed, at_one.stats.elapsed) << where;
-          EXPECT_EQ(res.stats.map_tasks, at_one.stats.map_tasks) << where;
-        }
+  for (const auto mode : {SchedulingMode::kStatic, SchedulingMode::kDynamic}) {
+    // The stage runner's virtual time and task count for this job,
+    // captured before it was deleted.
+    const bool is_static = mode == SchedulingMode::kStatic;
+    const double stage_elapsed =
+        is_static ? 1.2551028193804754 : 1.2190220991007557;
+    const std::uint64_t stage_tasks = is_static ? 196 : 212;
+    for (const int threads : {1, 4}) {
+      ScopedPoolSize pool(threads);
+      sim::Simulator simu;
+      Cluster cluster(simu, 2, NodeConfig{});
+      JobConfig cfg;
+      cfg.scheduling = mode;
+      auto& host = exec::ThreadPool::instance();
+      const auto before = host.stats().jobs;
+      auto res = run_job(cluster, spec, cfg, kItems);
+      const auto regions = host.stats().jobs - before;
+      const std::string where =
+          std::string(mode == SchedulingMode::kDynamic ? "dynamic"
+                                                       : "static") +
+          " threads=" + std::to_string(threads);
+      EXPECT_EQ(res.output, expected_counts(kItems)) << where;
+      // Unbatched, every payload opened its own region. Static dispatch
+      // hands every block out before the first completes, so the job is
+      // one batch: the four GPU-share blocks (one per node and partition,
+      // far above the mean) run alone, then one payload, then the rest in
+      // one region. Dynamic dispatch hands blocks out one by one and the
+      // fast GPU streams finish them nearly one by one, so its batches
+      // only span one wave of devices.
+      ASSERT_GT(res.stats.map_tasks, 40u) << where;
+      if (is_static) {
+        EXPECT_LE(regions, 6u) << where;
+      } else {
+        EXPECT_LT(regions, res.stats.map_tasks) << where;
       }
+      EXPECT_EQ(res.stats.elapsed, stage_elapsed) << where;
+      EXPECT_EQ(res.stats.map_tasks, stage_tasks) << where;
     }
   }
 }
@@ -493,7 +490,7 @@ TEST(Iterative, StartupChargedOnlyOnFirstIteration) {
 }
 
 TEST(Iterative, PipelinedWindowRunsNextPayloadsOnlyAfterTheAdvance) {
-  // At pipeline depth 2 (graph engine, static policy) two iterations share
+  // At pipeline depth 2 (static policy) two iterations share
   // one task graph, chained through iteration j's advance node, which runs
   // on_iteration. Iteration j+1's payloads read the state it updates, so
   // none may run earlier — even with four host threads running batches.
@@ -511,7 +508,6 @@ TEST(Iterative, PipelinedWindowRunsNextPayloadsOnlyAfterTheAdvance) {
   };
   spec.combine = [](const long& a, const long& b) { return std::max(a, b); };
   JobConfig cfg;
-  cfg.engine = ExecEngine::kGraph;
   cfg.pipeline_depth = 2;
   int seen = 0;
   auto res = run_iterative<int, long>(
@@ -647,24 +643,20 @@ TEST(ShuffleCombine, ThrowingCombinerSurfacesFromTheFoldAndTheStage) {
                std::runtime_error);
 
   // The same combiner inside a job fails the job at its node-local
-  // combine, on every engine.
+  // combine.
   auto job = toy_spec();
   job.combine = [](const long&, const long&) -> long {
     throw std::runtime_error("combiner failed");
   };
-  for (const auto engine : {ExecEngine::kStages, ExecEngine::kGraph}) {
-    sim::Simulator simu;
-    Cluster cluster(simu, 2, NodeConfig{});
-    JobConfig cfg;
-    cfg.engine = engine;
-    try {
-      (void)run_job(cluster, job, cfg, 4000);
-      ADD_FAILURE() << "the combiner's error did not surface";
-    } catch (const std::exception& e) {
-      EXPECT_NE(std::string(e.what()).find("combiner failed"),
-                std::string::npos)
-          << e.what();
-    }
+  sim::Simulator simu;
+  Cluster cluster(simu, 2, NodeConfig{});
+  try {
+    (void)run_job(cluster, job, JobConfig{}, 4000);
+    ADD_FAILURE() << "the combiner's error did not surface";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("combiner failed"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -686,22 +678,27 @@ TEST(ShuffleCombine, StagesGraphAndTolerantPathFoldInTheSameOrder) {
   spec.ai_gpu = 50.0;
   spec.item_bytes = 8.0;
   constexpr std::size_t kItems = 60000;
-  const auto run = [&](ExecEngine engine, bool tolerant) {
+  const auto run = [&](bool tolerant) {
     sim::Simulator simu;
     Cluster cluster(simu, 4, NodeConfig{});
     fault::FaultInjector none(simu, fault::FaultPlan::parse(""), 1);
     JobConfig cfg;
-    cfg.engine = engine;
     if (tolerant) cfg.faults = &none;
     return run_job(cluster, spec, cfg, kItems);
   };
-  const auto stages = run(ExecEngine::kStages, false);
-  const auto graph = run(ExecEngine::kGraph, false);
-  const auto tolerant = run(ExecEngine::kStages, true);
-  ASSERT_EQ(stages.output.size(), 2000u);
-  ASSERT_GT(stages.stats.intermediate_pairs / 4, detail::kFoldGrain);
-  EXPECT_EQ(graph.output, stages.output);
-  EXPECT_EQ(tolerant.output, stages.output);
+  const auto graph = run(false);
+  const auto tolerant = run(true);
+  ASSERT_EQ(graph.output.size(), 2000u);
+  ASSERT_GT(graph.stats.intermediate_pairs / 4, detail::kFoldGrain);
+  EXPECT_EQ(tolerant.output, graph.output);
+  // The digest of the stage runner's output, captured before it was
+  // deleted.
+  ckpt::Writer w;
+  for (const auto& [key, value] : graph.output) {
+    w.str(key);
+    w.u64(value);
+  }
+  EXPECT_EQ(ckpt::fnv1a64(w.bytes()), 0x4651fe98941c5905ull);
 }
 
 }  // namespace

@@ -56,10 +56,12 @@ TEST(TaskGraph, ReadyNodesDispatchAscending) {
   // Three roots with equal delay: completion (and hence logging) happens at
   // the same virtual time, in dispatch = id order.
   for (int i = 0; i < 3; ++i) {
-    g.add_work("n" + std::to_string(i), "delay", 0,
-               [&sim, &log, i](sim::Simulator&, sim::Promise<sim::Unit> done) {
-                 return timed_node(sim, 1.0, "n" + std::to_string(i), &log,
-                                   std::move(done));
+    std::string name = "n";
+    name += std::to_string(i);
+    g.add_work(name, "delay", 0,
+               [&sim, &log, name](sim::Simulator&,
+                                  sim::Promise<sim::Unit> done) {
+                 return timed_node(sim, 1.0, name, &log, std::move(done));
                });
   }
   GraphExecutor exec(sim, g);

@@ -218,7 +218,10 @@ TEST(PreRefactor, DynamicStaysDeterministicAndComparable) {
   // versus the pre-refactor runner (blocks now trickle out of the
   // dispatcher), but the totals stay in the pre-refactor envelope:
   // elapsed within 1% of the old 1.2352349819108674 s, same task count.
+  // Exactly, elapsed is the stage runner's 1.2415632645755723 s, which
+  // dynamic rounds as graph nodes reproduce.
   EXPECT_NEAR(a.elapsed, 1.2352349819108674, 0.013);
+  EXPECT_EQ(a.elapsed, 1.2415632645755723);
   EXPECT_EQ(a.map_tasks, 4240u);
   const auto st = table3_cmeans(core::JobConfig{}, 1);
   EXPECT_DOUBLE_EQ(a.network_bytes, st.network_bytes);

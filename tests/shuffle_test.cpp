@@ -74,7 +74,8 @@ apps::Corpus many_distinct_corpus() {
     std::string text;
     for (int w = 0; w < 20; ++w) {
       if (w > 0) text += ' ';
-      text += "w" + std::to_string(rng.uniform_index(200000));
+      text += 'w';
+      text += std::to_string(rng.uniform_index(200000));
     }
     corpus.push_back(std::move(text));
   }

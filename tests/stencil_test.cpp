@@ -176,7 +176,6 @@ TEST(StencilHaloGraph, MatchesSerialExactlyAtEveryDepth) {
       sim::Simulator sim;
       Cluster cluster(sim, nodes, NodeConfig{});
       JobConfig cfg;
-      cfg.engine = core::ExecEngine::kGraph;
       cfg.pipeline_depth = depth;
       auto prs = stencil_prs(cluster, g, p, cfg);
       ASSERT_EQ(prs.grid.rows(), serial.grid.rows());
@@ -203,7 +202,6 @@ TEST(StencilHaloGraph, ConvergenceStopsAtTheSameIteration) {
   sim::Simulator sim;
   Cluster cluster(sim, 2, NodeConfig{});
   JobConfig cfg;
-  cfg.engine = core::ExecEngine::kGraph;
   cfg.pipeline_depth = 4;
   auto prs = stencil_prs(cluster, g, p, cfg);
   EXPECT_EQ(prs.iterations, serial.iterations);
@@ -232,7 +230,6 @@ TEST(StencilHaloGraph, OverlapBeatsTheStageBarrier) {
     sim::Simulator sim;
     Cluster cluster(sim, 2, NodeConfig{});
     JobConfig cfg;
-    cfg.engine = core::ExecEngine::kGraph;
     cfg.pipeline_depth = 4;
     core::JobStats stats;
     (void)stencil_prs(cluster, g, p, cfg, &stats);

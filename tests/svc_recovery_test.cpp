@@ -635,6 +635,33 @@ TEST(JobServer, RecoverRestoresTerminalHistoryWithoutAccounting) {
   server.run_until_idle();  // nothing to do; must not wedge
 }
 
+TEST(JobServer, RecoverFailsAJournaledEngineSpecAsVersionDrift) {
+  // A spec journaled with the engine= key no longer parses: recovery fails
+  // that job, as it fails any spec from another build, and still re-admits
+  // the jobs around it.
+  const fs::path dir = fresh_dir("svc_recover_engine");
+  Journal::Config jcfg;
+  jcfg.path = (dir / "journal.wal").string();
+  JournalRecord with_engine = submit_record(1, "a", small_cmeans(3));
+  with_engine.spec_tokens += " engine=graph";
+  write_journal_file(jcfg.path,
+                     {with_engine, submit_record(2, "a", small_cmeans(3))});
+  Journal journal(jcfg);
+  JobServer server(server_cfg(1, 2, &journal));
+  server.add_tenant("a", TenantQuota{});
+  const auto stats = server.recover();
+  EXPECT_EQ(stats.jobs_failed, 1);
+  EXPECT_EQ(stats.jobs_recovered, 1);
+  const JobStatus drifted = server.status(1);
+  EXPECT_EQ(drifted.state, JobState::kFailed);
+  EXPECT_NE(drifted.error.find("unknown job field: engine"), std::string::npos)
+      << drifted.error;
+  server.run_until_idle();
+  EXPECT_EQ(server.status(2).state, JobState::kDone);
+  EXPECT_EQ(server.status(2).digest,
+            run_single_shot(small_cmeans(3)).digest);
+}
+
 TEST(JobServer, CancelDuringRecoveryResolvesCleanly) {
   const fs::path dir = fresh_dir("svc_recover_cancel");
   Journal::Config jcfg;

@@ -227,6 +227,34 @@ TEST(JobSpecWire, ValidateRejectsBadCombinations) {
   EXPECT_THROW(modeled_stencil.validate(), InvalidArgument);
 }
 
+TEST(JobSpecWire, PipelineDepthNeedsAStaticDispatchPolicyOnly) {
+  JobSpec deep;
+  deep.pipeline_depth = 4;
+  EXPECT_NO_THROW(deep.validate());
+  deep.policy = "adaptive";
+  EXPECT_NO_THROW(deep.validate());
+  deep.policy = "dynamic";
+  try {
+    deep.validate();
+    ADD_FAILURE() << "pipeline_depth > 1 with policy=dynamic validated";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("policy=dynamic"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(deep.to_tokens().find("engine"), std::string::npos);
+}
+
+TEST(JobSpecWire, EngineIsAnUnknownField) {
+  try {
+    (void)parse_job_spec({{"app", "cmeans"}, {"engine", "graph"}});
+    ADD_FAILURE() << "engine= parsed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown job field: engine"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------- stats io
 
 TEST(StatsIo, TextAndJsonCarryTheFields) {
@@ -569,6 +597,9 @@ TEST(Protocol, HandleRequestEndToEnd) {
       handle_request(server, "SUBMIT tenant=a app=nope", &shutdown).rfind(
           "ERR code=bad_spec", 0),
       0u);
+  EXPECT_EQ(handle_request(server, "SUBMIT tenant=a engine=graph", &shutdown)
+                .rfind("ERR code=bad_spec", 0),
+            0u);
   EXPECT_FALSE(shutdown);
   handle_request(server, "SHUTDOWN", &shutdown);
   EXPECT_TRUE(shutdown);

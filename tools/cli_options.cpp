@@ -51,21 +51,17 @@ usage: prs_run [options]
   --rows=M --cols=N   GEMV/DGEMM shape (--dims is DGEMM's K and the
                       stencil grid's rows); --cols is also the FFT
                       signal size
-  --scheduling=MODE   static (default, Eq (8)) | dynamic (block polling)
-  --policy=NAME       level-2 scheduling policy: static | dynamic |
-                      adaptive (analytic p refined per iteration from
-                      observed busy times); overrides --scheduling
+  --policy=NAME       level-2 scheduling policy: static (default, Eq (8))
+                      | dynamic (block polling) | adaptive (analytic p
+                      refined per iteration from observed busy times)
   --cpu-fraction=P    override the analytic CPU share p in [0,1]
-  --engine=NAME       stages (default; reference stage runner) | graph
-                      (task-graph runtime: per-block D2H copies overlap
-                      later kernels, first failure propagates immediately;
-                      numeric results are byte-identical)
-  --pipeline-depth=N  graph engine: iterations in flight (default 1);
-                      N>1 pipelines iterative apps — iteration i+1's map
-                      starts on partitions whose reduce finished
-  --graph-dump=FILE   write the job's task graph as Graphviz DOT (implies
-                      --engine=graph; iterative jobs overwrite FILE per
-                      window)
+  --pipeline-depth=N  iterations in flight (default 1; static and
+                      adaptive policies): N>1 copies each GPU block back
+                      as its kernel ends and pipelines iterative apps —
+                      iteration i+1's map starts on partitions whose
+                      reduce finished; numeric results are byte-identical
+  --graph-dump=FILE   write the job's task graph as Graphviz DOT
+                      (iterative jobs overwrite FILE per window)
   --functional        compute real results (default: modeled virtual time)
   --gpu-only          disable the CPU backend
   --cpu-only          disable the GPU backend
@@ -192,9 +188,6 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
     } else if (key == "testbed") {
       out.testbed = val;
       ok = val == "delta" || val == "bigred2" || val == "phi";
-    } else if (key == "scheduling") {
-      out.scheduling = val;
-      ok = val == "static" || val == "dynamic";
     } else if (key == "policy") {
       out.policy = val;
       ok = val == "static" || val == "dynamic" || val == "adaptive";
@@ -223,9 +216,6 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
            out.cpu_fraction <= 1.0;
     } else if (key == "seed") {
       ok = parse_u64(val, out.seed);
-    } else if (key == "engine") {
-      out.engine = val;
-      ok = val == "stages" || val == "graph";
     } else if (key == "pipeline-depth") {
       ok = parse_int(val, out.pipeline_depth) && out.pipeline_depth >= 1 &&
            out.pipeline_depth <= 64;
@@ -320,17 +310,9 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
       return false;
     }
   }
-  if (out.engine == "stages" && !out.graph_dump.empty()) {
-    error = "--graph-dump requires the graph engine (drop --engine=stages)";
-    return false;
-  }
-  if (out.pipeline_depth > 1 && out.engine_name() != "graph") {
-    error = "--pipeline-depth > 1 requires --engine=graph";
-    return false;
-  }
-  if (out.engine_name() == "graph" && out.policy_name() == "dynamic") {
-    error = "--engine=graph requires a static-dispatch policy "
-            "(--policy=static|adaptive)";
+  if (out.pipeline_depth > 1 && out.policy == "dynamic") {
+    error = "--pipeline-depth > 1 requires a static-dispatch policy "
+            "(--policy=static|adaptive), not --policy=dynamic";
     return false;
   }
   const int client_actions = (out.submit ? 1 : 0) +
@@ -398,11 +380,21 @@ Options parse_options_or_throw(int argc, char** argv) {
   return out;
 }
 
+core::NodeConfig Options::node_config() const {
+  return to_job_spec(*this).node_config();
+}
+
+core::JobConfig Options::job_config() const {
+  core::JobConfig cfg = to_job_spec(*this).job_config();
+  cfg.graph_dump_path = graph_dump;
+  return cfg;
+}
+
 svc::JobSpec to_job_spec(const Options& o) {
   svc::JobSpec s;
   s.app = o.app;
   s.testbed = o.testbed;
-  s.policy = o.policy_name();
+  s.policy = o.policy;
   s.nodes = o.nodes;
   s.gpus = o.gpus;
   s.points = o.points;
@@ -416,7 +408,6 @@ svc::JobSpec to_job_spec(const Options& o) {
   s.cpu_only = o.cpu_only;
   s.cpu_fraction = o.cpu_fraction;
   s.seed = o.seed;
-  s.engine = o.engine_name();
   s.pipeline_depth = o.pipeline_depth;
   s.fault_spec = o.fault_spec;
   s.fault_seed = o.fault_seed;

@@ -10,7 +10,6 @@
 
 #include "core/cluster.hpp"
 #include "core/job.hpp"
-#include "simdev/device_spec.hpp"
 #include "svc/job_spec.hpp"
 
 namespace prs::tools {
@@ -18,8 +17,7 @@ namespace prs::tools {
 struct Options {
   std::string app = "cmeans";
   std::string testbed = "delta";     // delta | bigred2 | phi
-  std::string scheduling = "static"; // static | dynamic (legacy spelling)
-  std::string policy;                // static | dynamic | adaptive
+  std::string policy = "static";     // static | dynamic | adaptive
   int nodes = 4;
   int gpus = 1;
   std::size_t points = 200000;
@@ -33,9 +31,7 @@ struct Options {
   bool cpu_only = false;
   double cpu_fraction = -1.0;
   std::uint64_t seed = 42;
-  std::string engine;        // stages | graph; empty = stages, unless
-                             // --graph-dump implies graph
-  int pipeline_depth = 1;    // graph engine: iterations in flight
+  int pipeline_depth = 1;    // iterations in flight (static policies)
   std::string graph_dump;    // --graph-dump=FILE: Graphviz DOT of the job
   int repeat = 1;            // run the job N times (counters reset between)
   int host_threads = 0;      // real host threads for map kernels; 0 = auto
@@ -75,49 +71,13 @@ struct Options {
   std::string dedup;           // --dedup=KEY: idempotent submit key
 
   /// Node hardware from the --testbed/--gpus flags.
-  core::NodeConfig node_config() const {
-    core::NodeConfig cfg;
-    if (testbed == "bigred2") {
-      cfg.cpu = simdev::bigred2_cpu();
-      cfg.gpu = simdev::bigred2_k20();
-    } else if (testbed == "phi") {
-      cfg.gpu = simdev::xeon_phi_5110p();
-    }
-    cfg.gpus_per_node = gpus;
-    return cfg;
-  }
+  core::NodeConfig node_config() const;
 
-  /// Effective level-2 policy name: --policy wins over legacy --scheduling.
-  std::string policy_name() const {
-    return policy.empty() ? scheduling : policy;
-  }
-
-  /// Effective engine name: --graph-dump implies the graph engine when
-  /// --engine is not given explicitly.
-  std::string engine_name() const {
-    if (!engine.empty()) return engine;
-    return graph_dump.empty() ? "stages" : "graph";
-  }
-
-  /// Job configuration from the mode/backend/scheduling flags. The caller
-  /// owns the policy instance (core::make_policy(policy_name())) and sets
-  /// JobConfig::policy so it persists across --repeat runs.
-  core::JobConfig job_config() const {
-    core::JobConfig cfg;
-    cfg.mode = functional ? core::ExecutionMode::kFunctional
-                          : core::ExecutionMode::kModeled;
-    cfg.scheduling = policy_name() == "dynamic"
-                         ? core::SchedulingMode::kDynamic
-                         : core::SchedulingMode::kStatic;
-    cfg.use_cpu = !gpu_only;
-    cfg.use_gpu = !cpu_only;
-    cfg.cpu_fraction_override = cpu_fraction;
-    cfg.engine = engine_name() == "graph" ? core::ExecEngine::kGraph
-                                          : core::ExecEngine::kStages;
-    cfg.pipeline_depth = pipeline_depth;
-    cfg.graph_dump_path = graph_dump;
-    return cfg;
-  }
+  /// Job configuration from the mode/backend/policy flags, plus the
+  /// --graph-dump path. The caller owns the policy instance
+  /// (core::make_policy(policy)) and sets JobConfig::policy so it persists
+  /// across --repeat runs.
+  core::JobConfig job_config() const;
 };
 
 /// Parses argv into `out`. Returns false (and sets `error`) on unknown

@@ -5,8 +5,8 @@
 //
 //   prs_run --app=cmeans --nodes=4 --points=200000 --dims=100 --clusters=10
 //   prs_run --app=gemv --rows=35000 --cols=10000 --gpu-only
-//   prs_run --app=wordcount --lines=20000 --mode=functional
-//   prs_run --app=gmm --testbed=bigred2 --gpus=1 --scheduling=dynamic
+//   prs_run --app=wordcount --lines=20000 --functional
+//   prs_run --app=gmm --testbed=bigred2 --gpus=1 --policy=dynamic
 //   prs_run --app=cmeans --policy=adaptive --repeat=3
 //   prs_run --list
 //
