@@ -2,16 +2,19 @@
 // rate, for the three level-2 scheduling policies.
 //
 // Transient task errors (task_error:*:p=R) are injected at growing rates
-// and every policy runs the same functional job on the tolerant path. Each
-// cell averages five fault seeds and also reports the worst seed, because
-// the interesting failure mode is a *retry storm*: with the static (Eq (8))
-// block layout a partition is split into few, large blocks, so an unlucky
-// chain of failed attempts re-executes large work items back-to-back on the
-// critical path and the tail blows up. Dynamic (block-polling) scheduling
-// re-runs cheap blocks that idle devices absorb, so its degradation is
-// gradual and nearly seed-independent. The adaptive policy learns a better
-// CPU share (lower fault-free baseline) but inherits the static block
-// layout, and with it the retry-storm tail at high error rates.
+// and every policy runs the same functional job as a faulted job graph.
+// Each cell averages five fault seeds and also reports the worst seed,
+// because the interesting failure mode is a *retry storm*: with the static
+// (Eq (8)) block layout a partition is split into few, large blocks, so an
+// unlucky chain of failed attempts re-executes large work items
+// back-to-back on the critical path and the tail blows up. Under faults a
+// dynamic partition is cut into the policy's many small blocks up front
+// and pre-assigned (the first p share to the CPU, the rest round-robin
+// over the GPU streams), so a retry re-runs a cheap block and its
+// degradation is gradual and nearly seed-independent. The adaptive policy
+// learns a better CPU share (lower fault-free baseline) but inherits the
+// static block layout, and with it the retry-storm tail at high error
+// rates.
 //
 // Everything is virtual-time deterministic: same seed, same schedule.
 #include <cstdio>
@@ -60,8 +63,8 @@ core::MapReduceSpec<int, long long> sum_spec() {
   return spec;
 }
 
-/// One deterministic tolerant run; rate 0 attaches no injector (fault-free
-/// fast path) so the baseline is the pre-fault-subsystem virtual time. The
+/// One deterministic run; rate 0 attaches no injector (the fault-free
+/// graph) so the baseline is the pre-fault-subsystem virtual time. The
 /// adaptive policy warms up on two fault-free jobs first, then measures a
 /// faulted job re-using the learned split (a long-lived service whose nodes
 /// start misbehaving).
@@ -70,10 +73,11 @@ double run_once(double rate, const std::string& policy, std::uint64_t seed) {
   core::Cluster cluster(sim, kNodes, core::NodeConfig{});
   core::JobConfig cfg;
   cfg.charge_job_startup = false;
+  core::DynamicBlockPolicy dynamic;
   core::AdaptiveFeedbackPolicy adaptive(/*gain=*/0.5,
                                         /*initial_fraction=*/0.5);
   if (policy == "dynamic") {
-    cfg.scheduling = core::SchedulingMode::kDynamic;
+    cfg.policy = &dynamic;
   } else if (policy == "adaptive") {
     cfg.policy = &adaptive;
     auto spec = sum_spec();
@@ -147,9 +151,10 @@ int main() {
 
   std::printf(
       "\nShape checks: every policy degrades as the error rate grows and "
-      "every run still returns the\nexact fault-free result. Dynamic "
-      "block-polling degrades gracefully — small re-executed blocks,\n"
-      "worst seed ~= mean. Static's large Eq (8) blocks stall visibly in "
+      "every run still returns the\nexact fault-free result. Dynamic's "
+      "small blocks, cut and pre-assigned up front under\nfaults, degrade "
+      "gracefully — worst seed ~= mean. Static's large Eq (8) blocks stall "
+      "visibly in "
       "the worst seed (retry storm\non the critical path); adaptive earns "
       "the best fault-free baseline but shares static's block\nlayout and "
       "therefore its tail.\n");

@@ -59,7 +59,7 @@ int main() {
 
   {
     core::JobConfig stat;
-    stat.scheduling = core::SchedulingMode::kStatic;
+    core::DynamicBlockPolicy dynamic;
     TextTable t({"app", "static [s]", "dynamic auto [s]",
                  "dynamic 1k-item blocks [s]", "dynamic 50k-item blocks [s]"});
     for (const char* app : {"cmeans", "gemv"}) {
@@ -68,7 +68,7 @@ int main() {
                                             : gemv_time(cfg);
       };
       core::JobConfig dyn = stat;
-      dyn.scheduling = core::SchedulingMode::kDynamic;
+      dyn.policy = &dynamic;
       core::JobConfig dyn_small = dyn;
       dyn_small.dynamic_block_items = 1000;
       core::JobConfig dyn_big = dyn;

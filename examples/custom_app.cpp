@@ -115,7 +115,8 @@ int main() {
 
   // Custom apps can pick either scheduling strategy from §III.B.2.
   core::JobConfig cfg;
-  cfg.scheduling = core::SchedulingMode::kDynamic;
+  core::DynamicBlockPolicy dynamic;
+  cfg.policy = &dynamic;
   auto result = core::run_job(cluster, spec, cfg, readings->size());
 
   std::printf("%-8s %8s %9s %9s   flag\n", "sensor", "count", "mean",

@@ -144,12 +144,9 @@ StencilResult stencil_graph(core::Cluster& cluster,
 
   // Level-2 decision per node (same policy surface as the MapReduce path),
   // then a capability-weighted level-1 row split.
-  std::unique_ptr<core::SchedulePolicy> owned_policy;
-  core::SchedulePolicy* policy = cfg.policy;
-  if (policy == nullptr) {
-    owned_policy = core::make_policy(cfg.scheduling);
-    policy = owned_policy.get();
-  }
+  core::StaticAnalyticPolicy static_policy;
+  core::SchedulePolicy* policy =
+      cfg.policy != nullptr ? cfg.policy : &static_policy;
   PRS_REQUIRE(policy->dispatch() == core::SchedulingMode::kStatic,
               "the halo graph needs a static-dispatch policy");
   auto shape_state = std::make_shared<StencilState>();

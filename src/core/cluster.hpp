@@ -68,9 +68,8 @@ class Cluster {
   void reset_counters();
 
   /// Attaches (or detaches, with nullptrs) fault-injection hooks on every
-  /// device and on the fabric. The fault-tolerant job runner installs the
-  /// injector here for the duration of a job; detach only when the
-  /// simulator is drained.
+  /// device and on the fabric. run_job installs the injector here for the
+  /// duration of a faulted job; detach only when the simulator is drained.
   void set_fault_hooks(simdev::ExecFaultHook* exec_hook,
                        simnet::NetFaultHook* net_hook);
 

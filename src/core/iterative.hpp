@@ -160,11 +160,8 @@ IterativeResult<K, V> run_iterative(
   // One policy instance across all iterations: stateful policies (e.g.
   // AdaptiveFeedbackPolicy) refine their split from each iteration's
   // observed busy times instead of starting over every round.
-  std::unique_ptr<SchedulePolicy> owned_policy;
-  if (iter_cfg.policy == nullptr) {
-    owned_policy = make_policy(cfg.scheduling);
-    iter_cfg.policy = owned_policy.get();
-  }
+  StaticAnalyticPolicy static_policy;
+  if (iter_cfg.policy == nullptr) iter_cfg.policy = &static_policy;
 
   // Checkpoint bookkeeping. out.stats holds normalized totals for the
   // `out.iterations` distinct iterations completed so far: `iterations`
@@ -297,8 +294,8 @@ IterativeResult<K, V> run_iterative(
 
   // Pipelined iteration windows (pipeline_depth > 1): up to `depth`
   // iterations run as one task graph, chained through per-iteration
-  // advance nodes. Fault injection keeps the per-iteration tolerant path;
-  // dynamic blocks are cut only as their round runs, so they have no
+  // advance nodes. A faulted job runs in job attempts, one iteration at a
+  // time; dynamic blocks are cut only as their round runs, so they have no
   // per-block copy-back to overlap; a learning policy needs its
   // per-iteration observe() calls, and the multi-tenant stage gate must
   // fire (and may cancel) at every iteration boundary — all of these clamp
@@ -358,8 +355,8 @@ IterativeResult<K, V> run_iterative(
 
     out.last = run_job(cluster, spec, iter_cfg, n_items);
 
-    // A blacklisted node this round means the fault-tolerant layer saw a
-    // node failure. With checkpointing on, the iteration's output is
+    // A blacklisted node this round means the faulted job saw a node
+    // failure. With checkpointing on, the iteration's output is
     // discarded (its FP state was produced by a survivor re-split) and the
     // run either halts for a fresh --resume or recovers in place.
     const bool node_failed =

@@ -64,37 +64,9 @@ enum class SchedulingMode {
   kDynamic,
 };
 
-/// Tolerance knobs used by the fault-tolerant execution path (engaged only
-/// when JobConfig::faults is set; fault-free jobs never read these).
-struct FaultToleranceConfig {
-  /// Per-task deadline = factor x modeled duration of the attempt.
-  double task_timeout_factor = 8.0;
-  /// Floor for per-task deadlines (virtual seconds).
-  double min_task_timeout = 1e-3;
-  /// Total execution attempts per block (first try + retries) before the
-  /// node declares itself failed.
-  int max_task_attempts = 4;
-  /// First retry backoff (virtual seconds); doubles per retry.
-  double backoff_base = 250e-6;
-  /// A running block is a straggler when its elapsed time exceeds
-  /// straggler_factor x median duration of completed blocks.
-  double straggler_factor = 2.5;
-  /// Completed blocks needed before the median is trusted.
-  std::size_t straggler_min_completed = 3;
-  /// Speculatively re-execute stragglers on the other device class
-  /// (first result wins, losers discarded).
-  bool speculation = true;
-  /// Straggler watchdog period (virtual seconds).
-  double straggler_tick = 500e-6;
-  /// Whole-job attempts: after each failed attempt the failed nodes are
-  /// blacklisted and partitions re-split across survivors.
-  int max_job_attempts = 3;
-};
-
 /// Per-job knobs. Defaults follow the paper (§III.B.2).
 struct JobConfig {
   ExecutionMode mode = ExecutionMode::kFunctional;
-  SchedulingMode scheduling = SchedulingMode::kStatic;
 
   /// Use GPU / CPU daemons. GPU-only vs GPU+CPU is Figure 6's comparison.
   bool use_gpu = true;
@@ -130,21 +102,17 @@ struct JobConfig {
   /// this only on the first iteration.
   bool charge_job_startup = true;
 
-  /// Explicit level-2 scheduling policy (non-owning; must outlive the job).
-  /// When null the runner builds a stateless default from `scheduling` —
-  /// set this to share one stateful policy (e.g. AdaptiveFeedbackPolicy)
-  /// across jobs/iterations so it can learn.
+  /// Level-2 scheduling policy (non-owning; must outlive the job). When
+  /// null the runner uses the static policy; share one stateful policy
+  /// (e.g. AdaptiveFeedbackPolicy) across jobs/iterations so it can learn.
   SchedulePolicy* policy = nullptr;
 
   /// Fault injector (non-owning; must outlive the job). When set, the job
-  /// runs on the fault-tolerant path: timeouts + retries, straggler
+  /// graph's nodes take their faulted form: timeouts + retries, straggler
   /// speculation, reliable shuffle/gather, node blacklisting. When null
-  /// (default) the fault-free fast path runs, byte-identical to a build
+  /// (default) the fault-free graph runs, byte-identical to a build
   /// without the fault subsystem.
   fault::FaultInjector* faults = nullptr;
-
-  /// Tolerance knobs; read only when `faults` is set.
-  FaultToleranceConfig tolerance;
 
   /// Service-layer hook (prs::svc): when set, run_iterative invokes it at
   /// every iteration boundary (before the iteration's broadcast/run_job).
@@ -155,7 +123,7 @@ struct JobConfig {
   std::function<void(int iteration)> stage_gate;
 
   /// Ranks known dead before the job starts (e.g. from a crash detected in a
-  /// previous iteration of run_iterative). The fault-tolerant path excludes
+  /// previous iteration of run_iterative). A faulted job excludes
   /// them from the initial split instead of rediscovering the crash through
   /// timeouts; they are not re-counted in `JobStats::blacklisted_nodes`.
   /// Rank 0 (the master) cannot be presumed dead. Read only when `faults`

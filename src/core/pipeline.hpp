@@ -1,13 +1,13 @@
 // Stage objects of the PRS execution pipeline (paper §III.A.2):
 // map -> combine -> shuffle -> reduce -> gather, one instance per node per
-// job, composed by the job graph (core/job_graph.hpp) and by the
-// fault-tolerant supervisor (core/fault_tolerant.hpp).
+// job, composed by the job graph (core/job_graph.hpp), whose nodes take a
+// faulted form when the job has a fault injector.
 //
 // Each stage owns its logic, accounting, and tracing/metrics sites; the
-// co_await sites stay in the graph's node coroutines and the supervisor,
-// so stages stay plain (unit-sized, testable) objects. The only auxiliary
-// processes are the dynamic-mode device daemons and the block dispatcher
-// (§III.B.2), spawned by MapStage::start_dynamic.
+// co_await sites stay in the graph's node coroutines, so stages stay plain
+// (unit-sized, testable) objects. The only auxiliary processes are the
+// dynamic-mode device daemons and the block dispatcher (§III.B.2), spawned
+// by MapStage::start_dynamic.
 //
 // NOTE (GCC 12): all co_await sites follow the named-temporary rule
 // documented in simtime/process.hpp.
@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "core/partitioner.hpp"
 #include "core/schedule_policy.hpp"
 #include "exec/parallel.hpp"
+#include "graph/executor.hpp"
 #include "obs/trace.hpp"
 #include "simtime/channel.hpp"
 #include "simtime/future.hpp"
@@ -191,7 +193,7 @@ struct JobState {
 /// node's Eq (8) split and stream count, and the capability-weighted
 /// partitions. `alive` (ascending ranks; empty means every rank) limits
 /// the decisions to those ranks; the others keep capability 0, so the
-/// Partitioner gives them nothing (the tolerant path's blacklist).
+/// Partitioner gives them nothing (a faulted job's blacklist).
 template <typename K, typename V>
 std::shared_ptr<JobState<K, V>> make_job_state(
     Cluster& cluster, const MapReduceSpec<K, V>& spec, const JobConfig& cfg,
@@ -252,6 +254,33 @@ struct NodeMapBatch {
   std::uint64_t gpu_items = 0;         // input items mapped on GPU
 };
 
+/// Late-bound executor handle for the failure path: the body wrappers are
+/// built while the graph is, before the executor exists.
+struct GraphFailBox {
+  graph::GraphExecutor* exec = nullptr;
+};
+
+/// Wraps a functional payload so a throw is recorded against its graph
+/// node (cancelling all pending nodes) before propagating out of the
+/// device worker — first-failure propagation at the block's completion
+/// time instead of an anonymous error.
+inline std::function<void()> graph_wrap_body(
+    std::function<void()> body, std::shared_ptr<GraphFailBox> fail,
+    std::string node_name) {
+  if (!body) return body;
+  return [body = std::move(body), fail = std::move(fail),
+          node_name = std::move(node_name)] {
+    try {
+      body();
+    } catch (...) {
+      if (fail->exec != nullptr) {
+        fail->exec->fail(std::current_exception(), node_name);
+      }
+      throw;
+    }
+  };
+}
+
 /// The map function a device runs on `slice`: the real one in functional
 /// mode, the shape-only stand-in otherwise (empty: nothing to run).
 template <typename K, typename V>
@@ -290,18 +319,21 @@ simdev::KernelDesc gpu_map_kernel(const MapReduceSpec<K, V>& spec,
 }
 
 /// Builds the timed CPU map task for `slice`. Its payload, emitting into a
-/// fresh emitter owned by `batch`, joins the job's pending set.
+/// fresh emitter owned by `batch`, joins the job's pending set; a throw is
+/// recorded against graph node `node_name`.
 template <typename K, typename V>
 simdev::CpuTask make_cpu_map_task(JobState<K, V>& st,
-                                  NodeMapBatch<K, V>& batch,
-                                  InputSlice slice) {
+                                  NodeMapBatch<K, V>& batch, InputSlice slice,
+                                  std::shared_ptr<GraphFailBox> fail,
+                                  std::string node_name) {
   simdev::CpuTask t = cpu_map_task(*st.spec, slice);
   batch.emitters.emplace_back();
   const auto& fn = map_fn(*st.spec, st.cfg.mode, /*gpu=*/false);
   if (fn) {
     auto* pending = &st.pending_maps;
     auto* p = pending->add(fn, slice, batch.emitters.back());
-    t.body = [pending, p] { pending->complete(*p); };
+    t.body = graph_wrap_body([pending, p] { pending->complete(*p); },
+                             std::move(fail), std::move(node_name));
   }
   return t;
 }
@@ -310,7 +342,9 @@ simdev::CpuTask make_cpu_map_task(JobState<K, V>& st,
 template <typename K, typename V>
 simdev::KernelDesc make_gpu_map_kernel(JobState<K, V>& st,
                                        NodeMapBatch<K, V>& batch,
-                                       InputSlice slice) {
+                                       InputSlice slice,
+                                       std::shared_ptr<GraphFailBox> fail,
+                                       std::string node_name) {
   simdev::KernelDesc k = gpu_map_kernel(*st.spec, slice);
   batch.emitters.emplace_back();
   Emitter<K, V>* emitter = &batch.emitters.back();
@@ -319,25 +353,30 @@ simdev::KernelDesc make_gpu_map_kernel(JobState<K, V>& st,
   if (fn) {
     auto* pending = &st.pending_maps;
     auto* p = pending->add(fn, slice, *emitter);
-    k.body = [pending, p, emitter, b] {
-      pending->complete(*p);
-      b->gpu_pairs += emitter->size();
-    };
+    k.body = graph_wrap_body(
+        [pending, p, emitter, b] {
+          pending->complete(*p);
+          b->gpu_pairs += emitter->size();
+        },
+        std::move(fail), std::move(node_name));
   }
   return k;
 }
 
-/// Dynamic-mode CPU worker: polls blocks whenever its core frees up.
+/// Dynamic-mode CPU worker: polls blocks whenever its core frees up. The
+/// round's payload failures are recorded against its graph node.
 template <typename K, typename V>
 sim::Process cpu_block_worker(JobState<K, V>& st, FatNode& node,
                               NodeMapBatch<K, V>& batch,
                               sim::Channel<InputSlice>& blocks,
                               std::shared_ptr<int> live,
+                              std::shared_ptr<GraphFailBox> fail,
+                              std::string node_name,
                               sim::Promise<sim::Unit> all_done) {
   for (;;) {
     auto b = co_await blocks.recv();
     if (!b) break;
-    simdev::CpuTask t = make_cpu_map_task(st, batch, *b);
+    simdev::CpuTask t = make_cpu_map_task(st, batch, *b, fail, node_name);
     ++st.map_tasks;
     auto fut = node.cpu().submit(std::move(t));
     co_await fut;
@@ -351,6 +390,8 @@ sim::Process gpu_block_worker(JobState<K, V>& st, FatNode& node,
                               NodeMapBatch<K, V>& batch,
                               sim::Channel<InputSlice>& blocks, int card,
                               int stream_index, std::shared_ptr<int> live,
+                              std::shared_ptr<GraphFailBox> fail,
+                              std::string node_name,
                               sim::Promise<sim::Unit> all_done) {
   auto& gpu = node.gpu(card);
   simdev::Stream& stream = gpu.stream(stream_index);
@@ -363,7 +404,7 @@ sim::Process gpu_block_worker(JobState<K, V>& st, FatNode& node,
                                     spec.item_bytes);
       co_await copy;
     }
-    simdev::KernelDesc k = make_gpu_map_kernel(st, batch, *b);
+    simdev::KernelDesc k = make_gpu_map_kernel(st, batch, *b, fail, node_name);
     batch.gpu_items += b->size();
     ++st.map_tasks;
     auto fut = stream.launch(std::move(k));
@@ -376,11 +417,9 @@ sim::Process gpu_block_worker(JobState<K, V>& st, FatNode& node,
 /// serial per-task dispatch cost as each block is handed out — daemons pay
 /// the dispatch latency only for blocks they actually pull, instead of the
 /// whole partition's worth up front.
-template <typename K, typename V>
-sim::Process block_dispatcher(sim::Simulator& sim, JobState<K, V>& st,
-                              std::shared_ptr<std::vector<InputSlice>> list,
-                              sim::Channel<InputSlice>& blocks) {
-  (void)st;
+inline sim::Process block_dispatcher(
+    sim::Simulator& sim, std::shared_ptr<std::vector<InputSlice>> list,
+    sim::Channel<InputSlice>& blocks) {
   for (const InputSlice& b : *list) {
     auto handoff = sim::delay(sim, calib::kPrsTaskDispatch);
     co_await handoff;
@@ -546,62 +585,13 @@ class MapStage {
     return est_tasks * calib::kPrsTaskDispatch;
   }
 
-  /// One GPU map block of a static plan, pinned to (card, stream) by the
-  /// paper's round-robin (§III.C.1).
-  struct GpuBlockPlan {
-    InputSlice slice;
-    int card = 0;
-    int stream = 0;
-  };
-
-  /// The static sub-task plan for one partition: CPU share into
-  /// multiplier x cores blocks, GPU share into one block per (card,
-  /// stream) round-robin. Pure description — shared by the job graph's
-  /// builder (core/job_graph.hpp) and the tolerant supervisor, so both
-  /// paths produce the same blocks in the same order.
-  struct StaticPlan {
-    std::vector<InputSlice> cpu_blocks;
-    std::vector<GpuBlockPlan> gpu_blocks;
-  };
-
-  StaticPlan plan_static(const InputSlice& partition) const {
-    const auto& st = *ctx_.st;
-    FatNode& node = ctx_.node();
-    const int streams = st.gpu_streams[ctx_.rk()];
-    auto [cpu_part, gpu_part] =
-        partition.split_at_fraction(st.cpu_fraction[ctx_.rk()]);
-    StaticPlan plan;
-    if (!cpu_part.empty()) {
-      const int n_blocks = roofline::AnalyticScheduler::cpu_block_count(
-          node.cpu().cores(), st.cfg.cpu_block_multiplier);
-      for (const InputSlice& b :
-           cpu_part.blocks(static_cast<std::size_t>(n_blocks))) {
-        plan.cpu_blocks.push_back(b);
-      }
-    }
-    if (!gpu_part.empty() && node.gpu_count() > 0) {
-      // One daemon per GPU card (paper §III.C.1): blocks round-robin over
-      // cards, then over each card's streams.
-      const auto cards = static_cast<std::size_t>(node.gpu_count());
-      const auto n_blocks = static_cast<std::size_t>(streams) * cards;
-      std::size_t i = 0;
-      for (const InputSlice& b : gpu_part.blocks(n_blocks)) {
-        GpuBlockPlan gb;
-        gb.slice = b;
-        gb.card = static_cast<int>(i % cards);
-        gb.stream = static_cast<int>(
-            (i / cards) % static_cast<std::size_t>(streams));
-        ++i;
-        plan.gpu_blocks.push_back(gb);
-      }
-    }
-    return plan;
-  }
-
   /// Dynamic dispatch of one partition: spawns the per-device block
   /// workers and the serial dispatcher; the returned future resolves when
-  /// every worker has drained the channel and finished.
-  sim::Future<sim::Unit> start_dynamic(const InputSlice& partition) {
+  /// every worker has drained the channel and finished. A payload failure
+  /// is recorded against the round's graph node `node_name`.
+  sim::Future<sim::Unit> start_dynamic(const InputSlice& partition,
+                                       std::shared_ptr<GraphFailBox> fail,
+                                       std::string node_name) {
     auto& st = *ctx_.st;
     auto& sim = ctx_.sim();
     FatNode& node = ctx_.node();
@@ -623,16 +613,16 @@ class MapStage {
     auto live = std::make_shared<int>(cpu_workers + gpu_workers);
     sim::Promise<sim::Unit> all_done(sim);
     for (int w = 0; w < cpu_workers; ++w) {
-      sim.spawn(
-          cpu_block_worker(st, node, batch_, *blocks, live, all_done));
+      sim.spawn(cpu_block_worker(st, node, batch_, *blocks, live, fail,
+                                 node_name, all_done));
     }
     for (int card = 0; card < gpu_cards; ++card) {
       for (int w = 0; w < st.gpu_streams[ctx_.rk()]; ++w) {
         sim.spawn(gpu_block_worker(st, node, batch_, *blocks, card, w, live,
-                                   all_done));
+                                   fail, node_name, all_done));
       }
     }
-    sim.spawn(block_dispatcher(sim, st, std::move(blocks_list), *blocks));
+    sim.spawn(block_dispatcher(sim, std::move(blocks_list), *blocks));
     return all_done.get_future();
   }
 
@@ -693,8 +683,8 @@ class ShuffleStage {
  public:
   explicit ShuffleStage(StageContext<K, V>& ctx) : ctx_(ctx) {}
 
-  /// One message per destination: the cluster's ranks, or the tolerant
-  /// path's alive set.
+  /// One message per destination: the ranks the job runs on (a faulted
+  /// job's alive set).
   std::vector<simnet::Message> prepare(NodeMapBatch<K, V>& batch,
                                        std::size_t dests) {
     auto& st = *ctx_.st;
@@ -776,7 +766,7 @@ class ReduceStage {
 
   /// Submits the reduce tasks, split CPU/GPU by the node's p. With `est`,
   /// adds their modeled durations (plus the GPU share's PCI-E staging) to
-  /// it: a safe over-estimate for the tolerant path's reduce deadline.
+  /// it: a safe over-estimate for a faulted reduce's deadline.
   std::vector<sim::Future<sim::Unit>> submit_device_tasks(
       std::size_t reduce_pairs, double* est = nullptr) {
     auto& st = *ctx_.st;

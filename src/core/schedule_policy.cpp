@@ -173,13 +173,6 @@ double AdaptiveFeedbackPolicy::learned_fraction(int rank) const {
   return it != learned_.end() ? it->second : -1.0;
 }
 
-std::unique_ptr<SchedulePolicy> make_policy(SchedulingMode mode) {
-  if (mode == SchedulingMode::kDynamic) {
-    return std::make_unique<DynamicBlockPolicy>();
-  }
-  return std::make_unique<StaticAnalyticPolicy>();
-}
-
 std::unique_ptr<SchedulePolicy> make_policy(const std::string& name) {
   if (name == "static") return std::make_unique<StaticAnalyticPolicy>();
   if (name == "dynamic") return std::make_unique<DynamicBlockPolicy>();

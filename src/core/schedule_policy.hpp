@@ -169,9 +169,6 @@ class AdaptiveFeedbackPolicy final : public SchedulePolicy {
   std::map<int, double> learned_;
 };
 
-/// The default policy for a JobConfig without an explicit one.
-std::unique_ptr<SchedulePolicy> make_policy(SchedulingMode mode);
-
 /// CLI factory: "static" | "dynamic" | "adaptive".
 std::unique_ptr<SchedulePolicy> make_policy(const std::string& name);
 

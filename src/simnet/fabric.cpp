@@ -17,6 +17,15 @@ constexpr int kPhaseTagStride = 1 << 24;
 // spaces can never collide.
 constexpr int kAckTagBase = -1;
 
+// The ack/retransmit protocol of a lossy fabric: up to kMaxRetransmits
+// (then the peer is presumed dead); the first ack deadline is
+// kAckTimeoutFactor x the estimated RTT, at least kMinAckTimeout, doubling
+// per retry; each ack costs kAckBytes on the wire.
+constexpr int kMaxRetransmits = 8;
+constexpr double kAckTimeoutFactor = 8.0;
+constexpr double kMinAckTimeout = 1e-4;
+constexpr double kAckBytes = 64.0;
+
 }  // namespace
 
 // -- Fabric -------------------------------------------------------------------
@@ -141,7 +150,6 @@ sim::Process Communicator::reliable_send(int dst, int tag, Message msg,
   sim::Simulator& sim = fabric_.simulator();
   auto& egress = *fabric_.egress_[static_cast<std::size_t>(rank_)];
   auto& ingress = *fabric_.ingress_[static_cast<std::size_t>(dst)];
-  const ReliabilityParams& rel = fabric_.reliability_;
   const double bytes = msg.bytes;
   const int ack_tag = kAckTagBase - next_ack_id_++;
 
@@ -154,9 +162,8 @@ sim::Process Communicator::reliable_send(int dst, int tag, Message msg,
 
   const FabricSpec& fs = fabric_.spec_;
   const double rtt_estimate =
-      2.0 * fs.latency + (bytes + rel.ack_bytes) / fs.link_bandwidth;
-  double deadline =
-      std::max(rel.min_ack_timeout, rel.ack_timeout_factor * rtt_estimate);
+      2.0 * fs.latency + (bytes + kAckBytes) / fs.link_bandwidth;
+  double deadline = std::max(kMinAckTimeout, kAckTimeoutFactor * rtt_estimate);
 
   for (int attempt = 0;; ++attempt) {
     NetFault fault;
@@ -188,7 +195,7 @@ sim::Process Communicator::reliable_send(int dst, int tag, Message msg,
     }
     auto timed = sim::with_timeout(sim, ack_future, deadline);
     const bool got_ack = co_await timed;
-    if (got_ack || attempt >= rel.max_retransmits) {
+    if (got_ack || attempt >= kMaxRetransmits) {
       // Success — or the peer is presumed dead and job-level recovery takes
       // over. Reclaim the ack inbox; a pending pump wakes with nullopt and
       // exits, a late ack finds no inbox and is discarded.
@@ -208,7 +215,7 @@ void Communicator::reliable_accept(int src, int tag, std::uint64_t seq,
                                    int ack_tag, Message msg) {
   // Ack every copy, even duplicates: the previous ack may have been lost.
   Message ack;
-  ack.bytes = fabric_.reliability_.ack_bytes;
+  ack.bytes = kAckBytes;
   send_unreliable(src, ack_tag, std::move(ack));
   RelInbound& in = rel_in_[std::make_pair(src, tag)];
   if (seq < in.next_seq || in.held.count(seq) != 0) return;  // duplicate

@@ -36,19 +36,6 @@ struct FabricSpec {
   double latency = 50e-6;
 };
 
-/// Knobs for the ack/retransmit protocol engaged while a fault hook is
-/// attached (lossy fabric). Unused on the fault-free fast path.
-struct ReliabilityParams {
-  /// Retransmissions before the sender gives up (peer presumed dead).
-  int max_retransmits = 8;
-  /// First ack deadline = factor x estimated RTT; doubles per retry.
-  double ack_timeout_factor = 8.0;
-  /// Floor for the first ack deadline (seconds of virtual time).
-  double min_ack_timeout = 1e-4;
-  /// Wire size charged for each ack message.
-  double ack_bytes = 64.0;
-};
-
 class Communicator;
 
 /// The interconnect shared by all ranks of one simulated cluster.
@@ -77,9 +64,6 @@ class Fabric {
   void set_fault_hook(NetFaultHook* hook) { fault_hook_ = hook; }
   NetFaultHook* fault_hook() const { return fault_hook_; }
 
-  void set_reliability(ReliabilityParams params) { reliability_ = params; }
-  const ReliabilityParams& reliability() const { return reliability_; }
-
   /// Retransmissions performed since construction (monotonic).
   std::uint64_t retransmits() const { return retransmits_; }
 
@@ -92,7 +76,6 @@ class Fabric {
   std::vector<std::unique_ptr<sim::BandwidthLink>> ingress_;
   std::vector<std::unique_ptr<Communicator>> comms_;
   NetFaultHook* fault_hook_ = nullptr;
-  ReliabilityParams reliability_;
   std::uint64_t retransmits_ = 0;
 };
 

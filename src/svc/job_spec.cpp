@@ -74,8 +74,6 @@ core::JobConfig JobSpec::job_config() const {
   core::JobConfig cfg;
   cfg.mode = functional ? core::ExecutionMode::kFunctional
                         : core::ExecutionMode::kModeled;
-  cfg.scheduling = policy == "dynamic" ? core::SchedulingMode::kDynamic
-                                       : core::SchedulingMode::kStatic;
   cfg.use_cpu = !gpu_only;
   cfg.use_gpu = !cpu_only;
   cfg.cpu_fraction_override = cpu_fraction;

@@ -52,8 +52,8 @@ struct JobSpec {
   /// spec with the leased vGPU spec).
   core::NodeConfig node_config() const;
 
-  /// Job configuration implied by the mode/backend/policy fields. The
-  /// caller owns the policy instance.
+  /// Job configuration implied by the mode/backend fields. The caller
+  /// builds the policy (core::make_policy(policy)) and sets cfg.policy.
   core::JobConfig job_config() const;
 
   /// Validates field combinations; throws prs::InvalidArgument with a

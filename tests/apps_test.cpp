@@ -132,7 +132,8 @@ TEST(CmeansPrs, DynamicSchedulingMatchesToo) {
   sim::Simulator simu;
   Cluster cluster(simu, 2, NodeConfig{});
   JobConfig cfg;
-  cfg.scheduling = core::SchedulingMode::kDynamic;
+  core::DynamicBlockPolicy dynamic;
+  cfg.policy = &dynamic;
   auto prs = cmeans_prs(cluster, ds.points, p, cfg);
   for (std::size_t i = 0; i < serial.centers.size(); ++i) {
     EXPECT_NEAR(prs.centers.storage()[i], serial.centers.storage()[i], 1e-6);

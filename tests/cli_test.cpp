@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "core/schedule_policy.hpp"
 #include "tools/cli_options.hpp"
 
 namespace prs::tools {
@@ -80,17 +81,19 @@ TEST(Cli, PolicySelection) {
   ASSERT_TRUE(parse({"--policy=adaptive"}, o, err)) << err;
   EXPECT_EQ(o.policy, "adaptive");
   // Adaptive refines the static dispatch path.
-  EXPECT_EQ(o.job_config().scheduling, core::SchedulingMode::kStatic);
+  EXPECT_EQ(core::make_policy(o.policy)->dispatch(),
+            core::SchedulingMode::kStatic);
 
   Options o2;
   ASSERT_TRUE(parse({}, o2, err));
   EXPECT_EQ(o2.policy, "static");
-  EXPECT_EQ(o2.job_config().scheduling, core::SchedulingMode::kStatic);
+  EXPECT_EQ(core::make_policy(o2.policy)->name(), "static");
 
   Options o3;
   ASSERT_TRUE(parse({"--policy=dynamic"}, o3, err));
   EXPECT_EQ(o3.policy, "dynamic");
-  EXPECT_EQ(o3.job_config().scheduling, core::SchedulingMode::kDynamic);
+  EXPECT_EQ(core::make_policy(o3.policy)->dispatch(),
+            core::SchedulingMode::kDynamic);
 }
 
 TEST(Cli, EngineAndSchedulingAreUnknownOptions) {
@@ -167,7 +170,8 @@ TEST(Cli, JobConfigMapping) {
                      "--cpu-fraction=0.5"},
                     o, err));
   auto cfg = o.job_config();
-  EXPECT_EQ(cfg.scheduling, core::SchedulingMode::kDynamic);
+  EXPECT_EQ(o.policy, "dynamic");
+  EXPECT_EQ(cfg.policy, nullptr);  // the caller builds the policy
   EXPECT_EQ(cfg.mode, core::ExecutionMode::kFunctional);
   EXPECT_FALSE(cfg.use_gpu);
   EXPECT_TRUE(cfg.use_cpu);

@@ -135,9 +135,9 @@ TEST(RunJob, DynamicSchedulingSameResultsAsStatic) {
   Cluster cluster(simu, 3, NodeConfig{});
   auto spec = toy_spec();
   JobConfig stat;
-  stat.scheduling = SchedulingMode::kStatic;
   JobConfig dyn;
-  dyn.scheduling = SchedulingMode::kDynamic;
+  DynamicBlockPolicy dynamic;
+  dyn.policy = &dynamic;
   auto r1 = run_job(cluster, spec, stat, 2000);
   auto r2 = run_job(cluster, spec, dyn, 2000);
   EXPECT_EQ(r1.output, r2.output);
@@ -382,7 +382,8 @@ TEST(RunJob, MapPayloadsShareFewPoolRegionsAndIgnoreThreadCount) {
       sim::Simulator simu;
       Cluster cluster(simu, 2, NodeConfig{});
       JobConfig cfg;
-      cfg.scheduling = mode;
+      DynamicBlockPolicy dynamic;
+      if (!is_static) cfg.policy = &dynamic;
       auto& host = exec::ThreadPool::instance();
       const auto before = host.stats().jobs;
       auto res = run_job(cluster, spec, cfg, kItems);

@@ -294,36 +294,47 @@ MapReduceSpec<int, int> counting_spec(bool poisoned) {
 }
 
 TEST(GraphEngineEdge, MapClosureThrowPropagatesFirstFailureImmediately) {
-  // Fault-free reference run: total virtual time of the whole job.
-  double t_clean = 0.0;
-  {
+  // Item 0 lives in rank 0's first CPU map block (static) or its first
+  // dynamic round (dynamic): the failure names that graph node.
+  core::DynamicBlockPolicy dynamic;
+  for (const bool is_dynamic : {false, true}) {
+    SCOPED_TRACE(is_dynamic ? "dynamic" : "static");
+    JobConfig cfg;
+    if (is_dynamic) cfg.policy = &dynamic;
+    // Fault-free reference run: total virtual time of the whole job.
+    double t_clean = 0.0;
+    {
+      sim::Simulator simu;
+      Cluster cluster(simu, 2, NodeConfig{});
+      auto res = run_job(cluster, counting_spec(false), cfg, 4096);
+      EXPECT_EQ(res.output.size(), 7u);
+      t_clean = res.stats.elapsed;
+      ASSERT_GT(t_clean, 0.0);
+    }
+
     sim::Simulator simu;
     Cluster cluster(simu, 2, NodeConfig{});
-    auto res = run_job(cluster, counting_spec(false), JobConfig{}, 4096);
-    EXPECT_EQ(res.output.size(), 7u);
-    t_clean = res.stats.elapsed;
-    ASSERT_GT(t_clean, 0.0);
+    try {
+      run_job(cluster, counting_spec(true), cfg, 4096);
+      FAIL() << "expected the poisoned map closure to surface an Error";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      // The graph runner names the failing node...
+      EXPECT_NE(what.find("task graph node '" +
+                          std::string(is_dynamic ? "n0:p0:map:dynamic"
+                                                 : "n0:p0:map:cpu0") +
+                          "' failed"),
+                std::string::npos)
+          << what;
+      // ...and carries the original cause.
+      EXPECT_NE(what.find("poison item 0"), std::string::npos) << what;
+    }
+    // Immediate propagation: the error surfaced at the failing block's
+    // completion time, well before the fault-free job's total time (which
+    // still owes shuffle/reduce/gather after the map barrier).
+    EXPECT_LT(simu.now(), t_clean);
+    EXPECT_GT(simu.now(), 0.0);
   }
-
-  // Poisoned run: item 0 lives in rank 0's first CPU map block.
-  sim::Simulator simu;
-  Cluster cluster(simu, 2, NodeConfig{});
-  try {
-    run_job(cluster, counting_spec(true), JobConfig{}, 4096);
-    FAIL() << "expected the poisoned map closure to surface an Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    // The graph runner names the failing node...
-    EXPECT_NE(what.find("task graph node"), std::string::npos) << what;
-    EXPECT_NE(what.find("map:cpu"), std::string::npos) << what;
-    // ...and carries the original cause.
-    EXPECT_NE(what.find("poison item 0"), std::string::npos) << what;
-  }
-  // Immediate propagation: the error surfaced at the failing block's
-  // completion time, well before the fault-free job's total time (which
-  // still owes shuffle/reduce/gather after the map barrier).
-  EXPECT_LT(simu.now(), t_clean);
-  EXPECT_GT(simu.now(), 0.0);
 }
 
 TEST(GraphEngineEdge, GraphMatchesStagesOutput) {

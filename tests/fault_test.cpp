@@ -1,7 +1,8 @@
-// Tests for the fault-injection subsystem (prs::fault) and the
-// fault-tolerant job path in core: spec-string parsing, byte-reproducible
-// fault schedules, output equality under every fault class, crash recovery
-// via blacklisting + re-splitting, and straggler speculation.
+// Tests for the fault-injection subsystem (prs::fault) and faulted jobs in
+// core: spec-string parsing, byte-reproducible fault schedules, output
+// equality under every fault class and policy, crash recovery via
+// blacklisting + re-splitting (announced and diagnosed from a stall), and
+// straggler speculation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +15,7 @@
 
 #include "core/cluster.hpp"
 #include "core/job_runner.hpp"
+#include "core/schedule_policy.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "obs/export.hpp"
@@ -105,7 +107,7 @@ std::map<int, long long> expected_sums(std::size_t n) {
 constexpr std::size_t kItems = 20000;
 constexpr int kNodes = 4;
 
-/// One tolerant run with everything observable captured for comparison.
+/// One faulted run with everything observable captured for comparison.
 struct FaultRun {
   std::map<int, long long> output;
   JobStats stats;
@@ -115,8 +117,8 @@ struct FaultRun {
 };
 
 FaultRun run_with_faults(const std::string& spec_str, std::uint64_t seed,
-                         FaultToleranceConfig tol = {},
-                         double flops_per_item = 2000.0) {
+                         double flops_per_item = 2000.0,
+                         const std::string& policy = "static") {
   sim::Simulator simu;
   obs::TraceRecorder rec(simu);
   simu.set_tracer(&rec);
@@ -126,7 +128,8 @@ FaultRun run_with_faults(const std::string& spec_str, std::uint64_t seed,
   JobConfig cfg;
   cfg.charge_job_startup = false;  // fault window starts at t=0
   cfg.faults = &inj;
-  cfg.tolerance = tol;
+  auto sched = make_policy(policy);
+  cfg.policy = sched.get();
   auto res = run_job(cluster, spec, cfg, kItems);
   FaultRun out;
   out.output = std::move(res.output);
@@ -179,17 +182,20 @@ TEST(FaultTolerance, OutputMatchesFaultFreeUnderEachFaultClass) {
        {"gpu_hang:node1:t=0ms", "link_drop:*:p=0.2", "slow_node:node3:x4",
         "task_error:*:p=0.1", "link_delay:*:t=200us:p=0.5",
         "link_dup:*:p=0.2"}) {
-    auto got = run_with_faults(spec, 3);
-    EXPECT_EQ(got.output, want) << "under " << spec;
+    for (const char* policy : {"static", "dynamic", "adaptive"}) {
+      auto got = run_with_faults(spec, 3, 2000.0, policy);
+      EXPECT_EQ(got.output, want) << "under " << spec << ", " << policy;
+    }
   }
 }
 
 TEST(FaultTolerance, FaultedRunKeepsItsPinnedTimelineAndLog) {
-  // The tolerant path shares its block plan, task descriptors, job state
-  // and reduce submission with the fault-free graph. This faulted run's
-  // timeline, retries, injector log and trace are pinned, so a change in
-  // any shared piece that moves a fault, a retry or a virtual second
-  // shows here.
+  // A faulted job runs the same job graph as a fault-free one, its nodes
+  // in their faulted form. This faulted run's timeline, retries, injector
+  // log and trace are pinned, so a change in any shared piece that moves a
+  // fault, a retry or a virtual second shows here. The timeline, counts
+  // and log are the deleted tolerant supervisor's; the trace digest was
+  // re-pinned when graph spans and sched.decision markers joined it.
   const std::string spec = "link_drop:*:p=0.1; task_error:node1:p=0.1";
   auto got = run_with_faults(spec, 11);
   EXPECT_EQ(got.output, expected_sums(kItems));
@@ -200,7 +206,7 @@ TEST(FaultTolerance, FaultedRunKeepsItsPinnedTimelineAndLog) {
   for (const std::string& line : got.log) log.str(line);
   EXPECT_EQ(got.log.size(), 20u);
   EXPECT_EQ(ckpt::fnv1a64(log.bytes()), 0x30dbdf6ba3afa936ull);
-  EXPECT_EQ(ckpt::fnv1a64(got.trace_json), 0x085081ad0f02249eull);
+  EXPECT_EQ(ckpt::fnv1a64(got.trace_json), 0x00d714c2a1401bf4ull);
 }
 
 TEST(FaultTolerance, DroppedMessagesAreRetransmitted) {
@@ -247,6 +253,41 @@ TEST(FaultTolerance, CrashedNodeIsBlacklistedAndWorkResplitsAcrossSurvivors) {
   EXPECT_GT(got.stats.elapsed, 0.0);
 }
 
+/// The first node_crash line of an injector log ("" when none).
+std::string first_crash_line(const std::vector<std::string>& log) {
+  for (const std::string& line : log) {
+    if (line.find(" node_crash ") != std::string::npos) return line;
+  }
+  return "";
+}
+
+TEST(FaultTolerance, CrashBeforeShuffleSendsIsDiagnosedFromTheStall) {
+  // node2 crashes after its last map block and before its shuffle sends:
+  // no retry runs out, so nothing announces the failure. The attempt
+  // stalls, and the post-mortem blames node2 because no stalled peer
+  // heard from it.
+  auto got = run_with_faults("node_crash:node2:t=1540us", 5);
+  EXPECT_EQ(got.output, expected_sums(kItems));
+  EXPECT_EQ(got.stats.task_retries, 0u);
+  EXPECT_EQ(got.stats.blacklisted_nodes, 1);
+  EXPECT_EQ(got.stats.job_attempts, 2);
+  EXPECT_EQ(first_crash_line(got.log),
+            "t=0.00154488586 node_crash node0-node2 tag100");
+}
+
+TEST(FaultTolerance, CrashBeforeGatherSendIsDiagnosedFromTheStall) {
+  // node2 crashes after its reduce and before its gather send: it counts
+  // as finished, and the post-mortem blames it because the stalled master
+  // still awaits its message.
+  auto got = run_with_faults("node_crash:node2:t=1630us", 5);
+  EXPECT_EQ(got.output, expected_sums(kItems));
+  EXPECT_EQ(got.stats.task_retries, 0u);
+  EXPECT_EQ(got.stats.blacklisted_nodes, 1);
+  EXPECT_EQ(got.stats.job_attempts, 2);
+  EXPECT_EQ(first_crash_line(got.log),
+            "t=0.00163795673 node_crash node2-node0 tag200");
+}
+
 TEST(FaultTolerance, TwoCrashedNodesStillRecoverable) {
   auto got = run_with_faults("node_crash:node1:t=0; node_crash:node3:t=0", 5);
   EXPECT_EQ(got.output, expected_sums(kItems));
@@ -257,17 +298,12 @@ TEST(FaultTolerance, TwoCrashedNodesStillRecoverable) {
 // -- (d) straggler speculation ----------------------------------------------
 
 TEST(FaultTolerance, StragglerSpeculationWinsAndDuplicatesAreDiscarded) {
-  // node0's CPU runs 6x slower — below the 8x timeout factor, so its tasks
-  // never time out; they can only be beaten by speculative re-execution on
-  // the GPU. The fast GPU blocks establish the duration median; the slowed
-  // CPU blocks exceed straggler_factor x median, the watchdog launches
-  // backups, the backups win, and the late CPU originals are discarded as
-  // double completions.
-  FaultToleranceConfig tol;
-  tol.straggler_tick = 50e-6;
-  tol.straggler_min_completed = 2;
-  tol.straggler_factor = 2.0;
-  auto got = run_with_faults("slow_node:node0:x6:cpu", 11, tol,
+  // node0's CPU runs 6x slower — below the 8x timeout factor. The fast
+  // GPU blocks establish the duration median; the slowed CPU blocks exceed
+  // kStragglerFactor x median, the watchdog launches backups on the GPU,
+  // the backups win, and the late CPU originals are discarded as double
+  // completions.
+  auto got = run_with_faults("slow_node:node0:x6:cpu", 11,
                              /*flops_per_item=*/20000.0);
   EXPECT_GT(got.injected.slowdowns, 0u);
   EXPECT_GE(got.stats.speculations, 1u);

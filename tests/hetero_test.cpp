@@ -97,7 +97,8 @@ TEST(MultiGpu, DynamicSchedulingUsesAllCards) {
   spec.gpu_data_cached = true;
   spec.item_bytes = 8.0;
   JobConfig cfg;
-  cfg.scheduling = SchedulingMode::kDynamic;
+  DynamicBlockPolicy dynamic;
+  cfg.policy = &dynamic;
   cfg.use_cpu = false;
   (void)run_job(cluster, spec, cfg, 50000);
   EXPECT_GT(node.gpu(0).kernels_launched(), 0u);

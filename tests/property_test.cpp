@@ -130,8 +130,8 @@ TEST_P(ShuffleProperty, RandomKeyValueLoadsSurviveExactly) {
     sim::Simulator sim;
     Cluster cluster(sim, nodes, NodeConfig{});
     JobConfig cfg;
-    cfg.scheduling = (seed % 2 == 0) ? SchedulingMode::kDynamic
-                                     : SchedulingMode::kStatic;
+    DynamicBlockPolicy dynamic;
+    if (seed % 2 == 0) cfg.policy = &dynamic;
     auto res = run_job(cluster, spec, cfg, n);
     EXPECT_EQ(res.output, want) << "nodes=" << nodes << " seed=" << seed;
   }

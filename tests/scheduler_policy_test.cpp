@@ -123,10 +123,6 @@ TEST(SchedulePolicy, MakePolicyFactory) {
   EXPECT_EQ(core::make_policy("static")->name(), "static");
   EXPECT_EQ(core::make_policy("dynamic")->name(), "dynamic");
   EXPECT_EQ(core::make_policy("adaptive")->name(), "adaptive");
-  EXPECT_EQ(core::make_policy(core::SchedulingMode::kStatic)->name(),
-            "static");
-  EXPECT_EQ(core::make_policy(core::SchedulingMode::kDynamic)->name(),
-            "dynamic");
   EXPECT_THROW(core::make_policy("greedy"), InvalidArgument);
 }
 
@@ -185,9 +181,7 @@ core::JobStats table3_cmeans(core::JobConfig cfg, int gpus) {
 }
 
 TEST(PreRefactor, StaticPhaseTimesAreByteIdentical) {
-  core::JobConfig cfg;
-  cfg.scheduling = core::SchedulingMode::kStatic;
-  const auto s = table3_cmeans(cfg, 1);
+  const auto s = table3_cmeans(core::JobConfig{}, 1);
   // Golden values captured from the pre-refactor monolithic runner.
   EXPECT_DOUBLE_EQ(s.elapsed, 1.2261198423554851);
   EXPECT_DOUBLE_EQ(s.startup_time, 1.2);
@@ -205,7 +199,8 @@ TEST(PreRefactor, StaticPhaseTimesAreByteIdentical) {
 
 TEST(PreRefactor, DynamicStaysDeterministicAndComparable) {
   core::JobConfig cfg;
-  cfg.scheduling = core::SchedulingMode::kDynamic;
+  core::DynamicBlockPolicy dynamic;
+  cfg.policy = &dynamic;
   const auto a = table3_cmeans(cfg, 1);
   const auto b = table3_cmeans(cfg, 1);
   // Determinism: two runs are byte-identical.
@@ -226,28 +221,6 @@ TEST(PreRefactor, DynamicStaysDeterministicAndComparable) {
   const auto st = table3_cmeans(core::JobConfig{}, 1);
   EXPECT_DOUBLE_EQ(a.network_bytes, st.network_bytes);
   EXPECT_NEAR(a.cpu_flops + a.gpu_flops, st.cpu_flops + st.gpu_flops, 1.0);
-}
-
-TEST(PreRefactor, ExplicitPolicyObjectMatchesLegacyConfigPath) {
-  for (const auto mode :
-       {core::SchedulingMode::kStatic, core::SchedulingMode::kDynamic}) {
-    core::JobConfig legacy;
-    legacy.scheduling = mode;
-    const auto a = table3_cmeans(legacy, 1);
-
-    core::JobConfig with_policy = legacy;
-    auto policy = core::make_policy(mode);
-    with_policy.policy = policy.get();
-    const auto b = table3_cmeans(with_policy, 1);
-
-    EXPECT_DOUBLE_EQ(a.elapsed, b.elapsed);
-    EXPECT_DOUBLE_EQ(a.map_time, b.map_time);
-    EXPECT_DOUBLE_EQ(a.reduce_time, b.reduce_time);
-    EXPECT_EQ(a.map_tasks, b.map_tasks);
-    EXPECT_EQ(a.reduce_tasks, b.reduce_tasks);
-    EXPECT_DOUBLE_EQ(a.cpu_flops, b.cpu_flops);
-    EXPECT_DOUBLE_EQ(a.gpu_flops, b.gpu_flops);
-  }
 }
 
 // -- multi-GPU reduce spread --------------------------------------------------

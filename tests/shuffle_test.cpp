@@ -94,7 +94,8 @@ void expect_prs_matches_serial(const apps::Corpus& corpus_in,
          {core::SchedulingMode::kStatic, core::SchedulingMode::kDynamic}) {
       sim::Simulator simu;
       core::Cluster cluster(simu, nodes, core::NodeConfig{});
-      cfg.scheduling = mode;
+      core::DynamicBlockPolicy dynamic;
+      cfg.policy = mode == core::SchedulingMode::kDynamic ? &dynamic : nullptr;
       EXPECT_EQ(apps::wordcount_prs(cluster, corpus, cfg), want)
           << what << " threads=" << threads
           << " dynamic=" << (mode == core::SchedulingMode::kDynamic);

@@ -125,7 +125,8 @@ TEST(StencilPrs, DynamicSchedulingMatchesToo) {
   sim::Simulator sim;
   Cluster cluster(sim, 2, NodeConfig{});
   JobConfig cfg;
-  cfg.scheduling = core::SchedulingMode::kDynamic;
+  core::DynamicBlockPolicy dynamic;
+  cfg.policy = &dynamic;
   auto prs = stencil_prs(cluster, g, p, cfg);
   for (std::size_t i = 0; i < serial.grid.size(); ++i) {
     EXPECT_DOUBLE_EQ(prs.grid.storage()[i], serial.grid.storage()[i]);

@@ -140,7 +140,7 @@ int run(const tools::Options& opt) {
   Rng rng(spec.seed);
 
   // Fault injection: parse the spec into a plan and attach the injector to
-  // the job config; run_job then takes the fault-tolerant path.
+  // the job config; run_job then runs the job graph in its faulted form.
   std::unique_ptr<fault::FaultInjector> injector;
   if (!spec.fault_spec.empty()) {
     injector = std::make_unique<fault::FaultInjector>(
