@@ -1,6 +1,7 @@
 #include "apps/dgemm.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 #include "core/calibration.hpp"
@@ -12,6 +13,18 @@ namespace {
 
 /// Host-pool grain for the A-block staging copy (memory bound).
 constexpr std::size_t kCopyGrain = 64;
+
+using DgemmPart = core::MapPart<long, linalg::MatrixD>;
+
+/// The in-place map over `run`: one gemm writes C's rows of the whole run,
+/// and each part emits its empty block.
+void map_rows_in_place(const DgemmState& st, const core::InputSlice& run,
+                       std::span<const DgemmPart> parts) {
+  linalg::gemm_blocked_rows(1.0, *st.a, *st.b, 0.0, *st.c, run.begin, run.end);
+  for (const DgemmPart& p : parts) {
+    p.emitter->emit(static_cast<long>(p.slice.begin), linalg::MatrixD{});
+  }
+}
 
 }  // namespace
 
@@ -44,8 +57,8 @@ DgemmSpec dgemm_spec(std::shared_ptr<DgemmState> state, std::size_t k,
     // the pair carries an empty block; without one, the A rows are staged
     // (also on the pool) and the block carries the C rows.
     if (state->c != nullptr) {
-      linalg::gemm_blocked_rows(1.0, a, b, 0.0, *state->c, s.begin, s.end);
-      e.emit(static_cast<long>(s.begin), linalg::MatrixD{});
+      const DgemmPart part{s, &e};
+      map_rows_in_place(*state, s, {&part, 1});
       return;
     }
     linalg::MatrixD a_block(s.size(), a.cols());
@@ -61,7 +74,14 @@ DgemmSpec dgemm_spec(std::shared_ptr<DgemmState> state, std::size_t k,
     linalg::gemm_blocked(1.0, a_block, b, 0.0, c_block);
     e.emit(static_cast<long>(s.begin), std::move(c_block));
   };
-  spec.gpu_map = spec.cpu_map;
+  // A run of contiguous blocks is one gemm over its rows: a single-row
+  // block alone streams all of B for 2 flops per element.
+  if (state->c != nullptr) {
+    spec.cpu_map_run = [state](const core::InputSlice& run,
+                               std::span<const DgemmPart> parts) {
+      map_rows_in_place(*state, run, parts);
+    };
+  }
   spec.modeled_map = [](const core::InputSlice& s,
                         core::Emitter<long, linalg::MatrixD>& e) {
     e.emit(static_cast<long>(s.begin), linalg::MatrixD{});
@@ -100,8 +120,6 @@ linalg::MatrixD dgemm_prs(core::Cluster& cluster, const linalg::MatrixD& a,
   auto state = std::make_shared<DgemmState>();
   state->a = &a;
   state->b = &b;
-  DgemmSpec spec = dgemm_spec(state, a.cols(), b.cols());
-
   // The payloads write C in place, so the job never holds per-task C
   // blocks beside C (DESIGN.md §4f).
   linalg::MatrixD c;
@@ -109,6 +127,7 @@ linalg::MatrixD dgemm_prs(core::Cluster& cluster, const linalg::MatrixD& a,
     c = linalg::MatrixD(a.rows(), b.cols(), 0.0);
     state->c = &c;
   }
+  DgemmSpec spec = dgemm_spec(state, a.cols(), b.cols());
   auto result = core::run_job(cluster, spec, cfg, a.rows());
   if (stats_out != nullptr) *stats_out = result.stats;
   return c;

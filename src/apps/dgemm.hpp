@@ -32,7 +32,9 @@ struct DgemmState {
   const linalg::MatrixD* a = nullptr;  // M x K
   const linalg::MatrixD* b = nullptr;  // K x N
   /// M x N. When set, each payload writes its rows of C here and emits an
-  /// empty block; when null, the block carries the rows.
+  /// empty block; when null, the block carries the rows. Set before
+  /// dgemm_spec, it also gives the spec a cpu_map_run that computes a run
+  /// of contiguous blocks as one gemm.
   linalg::MatrixD* c = nullptr;
 };
 

@@ -157,6 +157,23 @@ IterativeResult<K, V> run_iterative(
 
   double iter_t0 = sim.now();
   JobConfig iter_cfg = cfg;
+  // After a job blacklisted a node: the ranks the injector reports crashed
+  // start the later jobs presumed dead, so those split around them instead
+  // of rediscovering the crash, and the invariant data is re-staged over
+  // the survivors (their shares grew).
+  auto crashed_ranks = [&] {
+    std::vector<int> ranks;
+    for (int r = 1; r < cluster.size(); ++r) {
+      if (cfg.faults->node_crashed(r)) ranks.push_back(r);
+    }
+    return ranks;
+  };
+  auto exclude_crashed = [&] {
+    iter_cfg.presumed_dead = crashed_ranks();
+    std::vector<char> dead(static_cast<std::size_t>(cluster.size()), 0);
+    for (int r : iter_cfg.presumed_dead) dead[static_cast<std::size_t>(r)] = 1;
+    stage_cached(dead, /*allocate=*/false);
+  };
   // One policy instance across all iterations: stateful policies (e.g.
   // AdaptiveFeedbackPolicy) refine their split from each iteration's
   // observed busy times instead of starting over every round.
@@ -358,7 +375,9 @@ IterativeResult<K, V> run_iterative(
     // A blacklisted node this round means the faulted job saw a node
     // failure. With checkpointing on, the iteration's output is
     // discarded (its FP state was produced by a survivor re-split) and the
-    // run either halts for a fresh --resume or recovers in place.
+    // run either halts for a fresh --resume or recovers in place. Without
+    // it the output stands, and the later iterations start without the
+    // crashed nodes.
     const bool node_failed =
         iter_cfg.faults != nullptr && out.last.stats.blacklisted_nodes > 0;
     if (checkpointing && node_failed) {
@@ -371,9 +390,7 @@ IterativeResult<K, V> run_iterative(
                     " — rerun with recovery enabled to resume");
       }
       // In-place recovery: keep the cost of the wasted round on the books,
-      // rewind to the latest snapshot, mark the dead nodes so the next
-      // attempts split around them, and re-stage the invariant data over
-      // the survivors (their shares grew).
+      // rewind to the latest snapshot, and exclude the crashed nodes.
       PRS_CHECK(++recoveries < cluster.size(),
                 "crash recovery loop did not converge");
       const JobStats lost = out.last.stats;
@@ -394,15 +411,7 @@ IterativeResult<K, V> run_iterative(
       out.stats.accumulate(lost);
       out.stats.iterations = out.iterations;
       out.stats.job_attempts = 1 + extra_attempts;
-      std::vector<char> dead(static_cast<std::size_t>(cluster.size()), 0);
-      iter_cfg.presumed_dead.clear();
-      for (int r = 1; r < cluster.size(); ++r) {
-        if (cfg.faults->node_crashed(r)) {
-          iter_cfg.presumed_dead.push_back(r);
-          dead[static_cast<std::size_t>(r)] = 1;
-        }
-      }
-      stage_cached(dead, /*allocate=*/false);
+      exclude_crashed();
       if (tr != nullptr) {
         tr->complete(tr->track("ckpt", "driver"), "ckpt.restore", "ckpt", t0,
                      sim.now(),
@@ -427,6 +436,10 @@ IterativeResult<K, V> run_iterative(
 
     const bool cont = on_iteration(iter, out.last.output);
     finished = !cont || iter + 1 >= max_iterations;
+    if (node_failed && !finished &&
+        crashed_ranks() != iter_cfg.presumed_dead) {
+      exclude_crashed();
+    }
     if (checkpointing &&
         (finished || out.iterations % checkpoint->interval == 0)) {
       write_snapshot(iter + 1, finished);

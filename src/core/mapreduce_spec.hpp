@@ -8,6 +8,10 @@
 //   * `cpu_map` / `gpu_map` — per-backend map over an input slice, emitting
 //     intermediate key/value pairs (gpu_map defaults to cpu_map, matching
 //     the paper's remark that device sources are often identical);
+//   * `cpu_map_run` — optional: cpu_map over a run of contiguous slices in
+//     one call, each slice's pairs still in its own emitter. The block
+//     plan (and with it virtual time) stays the scheduler's; the host only
+//     merges the kernel calls (DESIGN.md §4f);
 //   * `combine` — the associative/commutative combiner applied node-locally
 //     before the shuffle *and* as the reduce operator after it;
 //   * `finalize` — the reduce-side transform producing final values;
@@ -20,6 +24,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,9 +53,18 @@ class Emitter {
   std::vector<std::pair<K, V>> pairs_;
 };
 
+/// One slice of a fused map run and the emitter its own map call fills.
+template <typename K, typename V>
+struct MapPart {
+  InputSlice slice;
+  Emitter<K, V>* emitter = nullptr;
+};
+
 template <typename K, typename V>
 struct MapReduceSpec {
   using MapFn = std::function<void(const InputSlice&, Emitter<K, V>&)>;
+  using MapRunFn =
+      std::function<void(const InputSlice&, std::span<const MapPart<K, V>>)>;
   using CombineFn = std::function<V(const V&, const V&)>;
   using FinalizeFn = std::function<V(const K&, V)>;
 
@@ -62,6 +76,14 @@ struct MapReduceSpec {
   /// CUDA map implementation (gpu_device/gpu_host_mapreduce). Defaults to
   /// cpu_map when empty.
   MapFn gpu_map;
+  /// Optional: cpu_map over `run`, the union of `parts`' slices (ascending,
+  /// contiguous, at least two), in one call. Each part's emitter must
+  /// receive exactly the pairs a separate cpu_map(part.slice, emitter) call
+  /// would give it, and the call must write nothing those separate calls
+  /// would not. The runner calls it on the simulator thread, so the call's
+  /// own pool regions use the whole pool; after a throw it clears the
+  /// parts' emitters and runs them one by one through cpu_map.
+  MapRunFn cpu_map_run;
   /// Cheap stand-in used in ExecutionMode::kModeled: must emit pairs of the
   /// right *shape* (same keys) without touching real data. Defaults to
   /// emitting nothing.

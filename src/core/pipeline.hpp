@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,32 +65,37 @@ JobShape job_shape(const MapReduceSpec<K, V>& spec) {
 ///
 /// A payload runs after its task is submitted and no later than its
 /// task's completion step. The first completion that needs a pending
-/// result runs the whole pending set: payloads more than twice the set's
-/// mean slice one by one on the simulator thread, then one more payload
-/// there, then, with every other emitter pre-sized there from that
-/// payload's pairs per input item, the rest in one host-pool region
-/// (grain 1; the payloads' own regions run inline). Payloads only read
-/// job state and write their own emitter, and an emitter is read only
-/// after its own task's completion, so virtual time and output bytes
-/// cannot depend on when or where the batch ran. Each payload's exception
-/// is rethrown at its own task's completion.
+/// result runs the whole pending set. With a spec `cpu_map_run`, each
+/// maximal run of two or more payloads of the spec's cpu_map over
+/// contiguous slices goes to one hook call on the simulator thread. Of
+/// the others, payloads more than twice their mean slice run one by one
+/// there, then one more payload, then, with every other emitter pre-sized
+/// there from that payload's pairs per input item, the rest in one
+/// host-pool region (grain 1; the payloads' own regions run inline).
+/// Payloads only read job state and write their own emitter, and an
+/// emitter is read only after its own task's completion, so virtual time
+/// and output bytes cannot depend on when or where the batch ran. Each
+/// payload's exception is rethrown at its own task's completion.
 template <typename K, typename V>
 class PendingMaps {
  public:
   using MapFn = typename MapReduceSpec<K, V>::MapFn;
 
   struct Payload {
-    MapFn fn;
+    const MapFn* fn = nullptr;
     InputSlice slice;
     Emitter<K, V>* emitter = nullptr;
     bool ran = false;
     std::exception_ptr error;
   };
 
-  /// Queues fn(slice, emitter). `emitter` must outlive the job; the
-  /// returned handle lives as long as this set.
+  explicit PendingMaps(const MapReduceSpec<K, V>* spec = nullptr)
+      : spec_(spec) {}
+
+  /// Queues fn(slice, emitter). `fn` (a member of the spec) and `emitter`
+  /// must outlive the job; the returned handle lives as long as this set.
   Payload* add(const MapFn& fn, InputSlice slice, Emitter<K, V>& emitter) {
-    payloads_.push_back(Payload{fn, slice, &emitter, false, nullptr});
+    payloads_.push_back(Payload{&fn, slice, &emitter, false, nullptr});
     pending_.push_back(&payloads_.back());
     return pending_.back();
   }
@@ -104,16 +110,61 @@ class PendingMaps {
  private:
   static void run(Payload& p) {
     try {
-      p.fn(p.slice, *p.emitter);
+      (*p.fn)(p.slice, *p.emitter);
     } catch (...) {
       p.error = std::current_exception();
     }
     p.ran = true;
   }
 
+  /// Runs each maximal run of two or more contiguous cpu_map payloads of
+  /// `batch` through the spec's cpu_map_run; returns the payloads left,
+  /// including those of a run whose call threw (emitters cleared).
+  std::vector<Payload*> run_fused(std::vector<Payload*> batch) {
+    if (spec_ == nullptr || !spec_->cpu_map_run) return batch;
+    std::vector<Payload*> fusable;
+    std::vector<Payload*> rest;
+    for (Payload* p : batch) {
+      (p->fn == &spec_->cpu_map ? fusable : rest).push_back(p);
+    }
+    std::sort(fusable.begin(), fusable.end(), [](const auto* a, const auto* b) {
+      return std::pair(a->slice.begin, a->slice.end) <
+             std::pair(b->slice.begin, b->slice.end);
+    });
+    std::vector<MapPart<K, V>> parts;
+    for (std::size_t i = 0, j = 0; i < fusable.size(); i = j) {
+      j = i + 1;
+      while (j < fusable.size() &&
+             fusable[j]->slice.begin == fusable[j - 1]->slice.end) {
+        ++j;
+      }
+      const auto run = std::span(fusable).subspan(i, j - i);
+      if (run.size() < 2) {
+        rest.push_back(run.front());
+        continue;
+      }
+      parts.clear();
+      for (const Payload* p : run) parts.push_back({p->slice, p->emitter});
+      try {
+        spec_->cpu_map_run(InputSlice{run.front()->slice.begin,
+                                      run.back()->slice.end},
+                           parts);
+        for (Payload* p : run) p->ran = true;
+      } catch (...) {
+        for (Payload* p : run) {
+          p->emitter->pairs().clear();
+          rest.push_back(p);
+        }
+      }
+    }
+    return rest;
+  }
+
   void run_pending() {
     std::vector<Payload*> batch;
     batch.swap(pending_);
+    batch = run_fused(std::move(batch));
+    if (batch.empty()) return;
     // An outsized payload (a GPU share's block beside many small CPU
     // blocks) would run serially on one lane of the batch, and its large
     // buffers would come from that lane's malloc arena (see below). Alone
@@ -152,6 +203,7 @@ class PendingMaps {
     });
   }
 
+  const MapReduceSpec<K, V>* spec_;
   std::deque<Payload> payloads_;   // stable addresses for the task bodies
   std::vector<Payload*> pending_;  // submitted, not yet run
 };
@@ -201,6 +253,7 @@ std::shared_ptr<JobState<K, V>> make_job_state(
     std::vector<int> alive = {}) {
   auto st = std::make_shared<JobState<K, V>>();
   st->spec = &spec;
+  st->pending_maps = PendingMaps<K, V>(&spec);
   st->cfg = cfg;
   st->n_items = n_items;
   const auto nodes = static_cast<std::size_t>(cluster.size());

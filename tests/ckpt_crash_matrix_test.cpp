@@ -311,5 +311,27 @@ TEST(CkptCrashMatrix, InPlaceRecoveryContinuesOnSurvivors) {
   EXPECT_FALSE(recovered.digest.empty());
 }
 
+TEST(Iterative, CrashedNodeStaysOutOfLaterIterationsWithoutCheckpoints) {
+  // node2 crashes at t=0 and no checkpoints are kept. The first job
+  // blacklists it in its first attempt and finishes over the survivors;
+  // every later iteration starts without it instead of rediscovering the
+  // crash. The survivors' split is the same in every iteration, so the
+  // bytes are those of a run that rediscovers it each time.
+  const std::pair<const AppEntry*, const char*> pins[] = {
+      {&kApps[0], "b77830ef47daa397"},
+      {&kApps[1], "61456deca64446c6"},
+      {&kApps[2], "a5824ab850767f84"},
+  };
+  for (const auto& [app, digest] : pins) {
+    const RunResult run =
+        run_once(*app, "static", "node_crash:node2:t=0", nullptr);
+    ASSERT_FALSE(run.crashed) << app->name << ": " << run.error;
+    EXPECT_EQ(run.stats.iterations, 5) << app->name;
+    EXPECT_EQ(run.stats.blacklisted_nodes, 1) << app->name;
+    EXPECT_EQ(run.stats.job_attempts, 2) << app->name;
+    EXPECT_EQ(run.digest, digest) << app->name;
+  }
+}
+
 }  // namespace
 }  // namespace prs::apps

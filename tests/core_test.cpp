@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -408,6 +410,128 @@ TEST(RunJob, MapPayloadsShareFewPoolRegionsAndIgnoreThreadCount) {
       }
       EXPECT_EQ(res.stats.elapsed, stage_elapsed) << where;
       EXPECT_EQ(res.stats.map_tasks, stage_tasks) << where;
+    }
+  }
+}
+
+// -- fused map runs -------------------------------------------------------------
+
+/// What ran a toy job's map payloads: each cpu_map_run call (its run and
+/// its parts' slices) and each separate cpu_map call.
+struct MapLog {
+  struct Call {
+    InputSlice run;
+    std::vector<InputSlice> parts;
+  };
+  std::mutex mu;
+  std::vector<Call> calls;
+  std::vector<InputSlice> singles;
+};
+
+/// toy_spec that logs its cpu_map calls; with `fused`, also a cpu_map_run
+/// that logs each call and emits, per part, what cpu_map emits.
+MapReduceSpec<int, long> logged_toy_spec(std::shared_ptr<MapLog> log,
+                                         bool fused) {
+  auto spec = toy_spec();
+  const auto inner = spec.cpu_map;
+  spec.cpu_map = [log, inner](const InputSlice& s, Emitter<int, long>& e) {
+    {
+      std::lock_guard<std::mutex> lk(log->mu);
+      log->singles.push_back(s);
+    }
+    inner(s, e);
+  };
+  if (fused) {
+    spec.cpu_map_run = [log, inner](const InputSlice& run,
+                                    std::span<const MapPart<int, long>> parts) {
+      MapLog::Call call{run, {}};
+      for (const auto& p : parts) {
+        call.parts.push_back(p.slice);
+        inner(p.slice, *p.emitter);
+      }
+      std::lock_guard<std::mutex> lk(log->mu);
+      log->calls.push_back(std::move(call));
+    };
+  }
+  return spec;
+}
+
+TEST(RunJob, FusedMapRunsGiveTheBytesAndTimesOfSeparatePayloads) {
+  constexpr std::size_t kItems = 20000;
+  for (const std::string policy : {"static", "dynamic", "adaptive"}) {
+    for (const int threads : {1, 4}) {
+      for (const int depth : {1, 2}) {
+        const std::string where = policy + " threads=" +
+                                  std::to_string(threads) +
+                                  " depth=" + std::to_string(depth);
+        ScopedPoolSize pool(threads);
+        struct Run {
+          JobResult<int, long> res;
+          std::uint64_t regions = 0;
+          std::shared_ptr<MapLog> log = std::make_shared<MapLog>();
+        };
+        const auto run = [&](bool fused) {
+          Run r;
+          DynamicBlockPolicy dynamic;
+          AdaptiveFeedbackPolicy adaptive;
+          JobConfig cfg;
+          cfg.pipeline_depth = depth;
+          if (policy == "dynamic") cfg.policy = &dynamic;
+          if (policy == "adaptive") cfg.policy = &adaptive;
+          sim::Simulator simu;
+          Cluster cluster(simu, 2, NodeConfig{});
+          auto& host = exec::ThreadPool::instance();
+          const auto before = host.stats().jobs;
+          r.res = run_job(cluster, logged_toy_spec(r.log, fused), cfg, kItems);
+          r.regions = host.stats().jobs - before;
+          return r;
+        };
+        const Run plain = run(false);
+        const Run fused = run(true);
+        EXPECT_EQ(fused.res.output, expected_counts(kItems)) << where;
+        EXPECT_EQ(fused.res.output, plain.res.output) << where;
+        EXPECT_EQ(fused.res.stats.elapsed, plain.res.stats.elapsed) << where;
+        EXPECT_EQ(fused.res.stats.map_tasks, plain.res.stats.map_tasks)
+            << where;
+        EXPECT_EQ(fused.res.stats.intermediate_pairs,
+                  plain.res.stats.intermediate_pairs)
+            << where;
+        EXPECT_EQ(fused.res.stats.pcie_bytes, plain.res.stats.pcie_bytes)
+            << where;
+        EXPECT_EQ(fused.res.stats.network_bytes,
+                  plain.res.stats.network_bytes)
+            << where;
+        EXPECT_TRUE(plain.log->calls.empty()) << where;
+        std::vector<InputSlice> covered = fused.log->singles;
+        for (const auto& call : fused.log->calls) {
+          ASSERT_GE(call.parts.size(), 2u) << where;
+          EXPECT_EQ(call.run.begin, call.parts.front().begin) << where;
+          EXPECT_EQ(call.run.end, call.parts.back().end) << where;
+          for (std::size_t i = 1; i < call.parts.size(); ++i) {
+            EXPECT_EQ(call.parts[i].begin, call.parts[i - 1].end) << where;
+            EXPECT_LT(call.parts[i].begin, call.parts[i].end) << where;
+          }
+          covered.insert(covered.end(), call.parts.begin(), call.parts.end());
+        }
+        // Every map task ran exactly once, fused or alone.
+        EXPECT_EQ(covered.size(), fused.res.stats.map_tasks) << where;
+        std::sort(covered.begin(), covered.end(),
+                  [](const InputSlice& a, const InputSlice& b) {
+                    return a.begin < b.begin;
+                  });
+        std::size_t cursor = 0;
+        for (const auto& s : covered) {
+          EXPECT_EQ(s.begin, cursor) << where;
+          cursor = s.end;
+        }
+        EXPECT_EQ(cursor, kItems) << where;
+        // Static dispatch hands every block out before the first completes,
+        // so the hook takes whole partitions in place of batch regions.
+        if (policy == "static") {
+          EXPECT_FALSE(fused.log->calls.empty()) << where;
+          EXPECT_LT(fused.regions, plain.regions) << where;
+        }
+      }
     }
   }
 }

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -277,12 +279,16 @@ TEST(CollectiveEdge, SingleNodeCollectivesAreInstant) {
 namespace prs::core {
 namespace {
 
-MapReduceSpec<int, int> counting_spec(bool poisoned) {
+MapReduceSpec<int, int> counting_spec(bool poisoned,
+                                      std::size_t poison_item = 0) {
   MapReduceSpec<int, int> spec;
   spec.name = "edge-count";
-  spec.cpu_map = [poisoned](const InputSlice& s, Emitter<int, int>& e) {
+  spec.cpu_map = [poisoned, poison_item](const InputSlice& s,
+                                         Emitter<int, int>& e) {
     for (std::size_t i = s.begin; i < s.end; ++i) {
-      if (poisoned && i == 0) throw std::runtime_error("poison item 0");
+      if (poisoned && i == poison_item) {
+        throw std::runtime_error("poison item " + std::to_string(i));
+      }
       e.emit(static_cast<int>(i % 7), 1);
     }
   };
@@ -405,6 +411,92 @@ TEST(GraphEngineEdge, MapClosureThrowSurfacesAtItsOwnBlockCompletion) {
   EXPECT_LT(failed_at[0], failed_at[1]);
   EXPECT_LT(failed_at[1], failed_at[2]);
   EXPECT_LT(failed_at[2], t_clean);
+}
+
+/// counting_spec with a cpu_map_run that emits every part's pairs and
+/// then throws, counting its calls in `calls`.
+MapReduceSpec<int, int> throwing_run_spec(bool poisoned,
+                                          std::size_t poison_item,
+                                          std::shared_ptr<int> calls) {
+  auto spec = counting_spec(poisoned, poison_item);
+  spec.cpu_map_run = [calls](const InputSlice&,
+                             std::span<const MapPart<int, int>> parts) {
+    ++*calls;
+    for (const auto& p : parts) {
+      for (std::size_t i = p.slice.begin; i < p.slice.end; ++i) {
+        p.emitter->emit(static_cast<int>(i % 7), 1);
+      }
+    }
+    throw std::runtime_error("fused run failed");
+  };
+  return spec;
+}
+
+TEST(GraphEngineEdge, ThrowingMapRunFailsAsItsPoisonedBlockDoes) {
+  // The hook throws, so its payloads run one by one; the block that holds
+  // the poisoned item must fail the job as it does without the hook: same
+  // graph node, same cause, same virtual time.
+  constexpr std::size_t kItems = 4096;
+  constexpr std::size_t kPoison = 1500;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    exec::ThreadPool::instance().configure(threads);
+    const auto fail = [&](const MapReduceSpec<int, int>& spec) {
+      sim::Simulator simu;
+      Cluster cluster(simu, 2, NodeConfig{});
+      std::string what;
+      try {
+        run_job(cluster, spec, JobConfig{}, kItems);
+        ADD_FAILURE() << "expected the poisoned block to fail the job";
+      } catch (const Error& e) {
+        what = e.what();
+      }
+      return std::pair(what, simu.now());
+    };
+    const auto plain = fail(counting_spec(true, kPoison));
+    auto calls = std::make_shared<int>(0);
+    const auto fused = fail(throwing_run_spec(true, kPoison, calls));
+    EXPECT_GT(*calls, 0);
+    EXPECT_NE(plain.first.find("task graph node 'n"), std::string::npos)
+        << plain.first;
+    EXPECT_NE(plain.first.find("' failed: poison item 1500"),
+              std::string::npos)
+        << plain.first;
+    EXPECT_EQ(fused.first, plain.first);
+    EXPECT_EQ(fused.second, plain.second);
+  }
+  exec::ThreadPool::instance().configure(0);
+}
+
+TEST(GraphEngineEdge, ThrowingMapRunReRunsItsPayloadsFromEmptyEmitters) {
+  // The hook emits every part's pairs, then throws. Its payloads re-run
+  // through cpu_map; had their emitters kept the hook's pairs, every count
+  // would double.
+  constexpr std::size_t kItems = 4096;
+  DynamicBlockPolicy dynamic;
+  for (const bool is_dynamic : {false, true}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(is_dynamic ? "dynamic" : "static") +
+                   " threads=" + std::to_string(threads));
+      exec::ThreadPool::instance().configure(threads);
+      JobConfig cfg;
+      if (is_dynamic) cfg.policy = &dynamic;
+      sim::Simulator s0;
+      Cluster c0(s0, 2, NodeConfig{});
+      const auto plain = run_job(c0, counting_spec(false), cfg, kItems);
+      auto calls = std::make_shared<int>(0);
+      sim::Simulator s1;
+      Cluster c1(s1, 2, NodeConfig{});
+      const auto fused =
+          run_job(c1, throwing_run_spec(false, 0, calls), cfg, kItems);
+      EXPECT_GT(*calls, 0);
+      EXPECT_EQ(fused.output, plain.output);
+      EXPECT_EQ(fused.stats.elapsed, plain.stats.elapsed);
+      EXPECT_EQ(fused.stats.intermediate_pairs,
+                plain.stats.intermediate_pairs);
+    }
+  }
+  exec::ThreadPool::instance().configure(0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "apps/cmeans.hpp"
 #include "apps/dgemm.hpp"
@@ -266,59 +267,76 @@ TEST(Dgemm, PrsMatchesBlockedKernel) {
 }
 
 // dgemm_prs hands its payloads a shared C: they write their rows in place
-// and emit empty blocks. The rows, the virtual time and the pair count must
-// equal those of the block path (no shared C), at any pool size.
+// and emit empty blocks, and its spec, built with C set, runs each run of
+// contiguous pending blocks as one gemm. The rows, the virtual time and the
+// pair count must equal those of the block path (no shared C), at any pool
+// size, also with per-block copy-back on several cards.
 TEST(Dgemm, InPlaceRowsMatchTheBlockPath) {
   Rng rng(11);
   const auto a = data::random_matrix(rng, 150, 40);
   const auto b = data::random_matrix(rng, 40, 70);
-  NodeConfig node = delta_with_gpus(1);
-  JobConfig cfg;
-  cfg.mode = ExecutionMode::kFunctional;
+  struct Shape {
+    int nodes, gpus, depth;
+  };
+  for (const Shape shape : {Shape{2, 1, 1}, Shape{3, 2, 2}}) {
+    const std::string where = std::to_string(shape.nodes) + " nodes, " +
+                              std::to_string(shape.gpus) + " GPUs, depth " +
+                              std::to_string(shape.depth);
+    NodeConfig node = delta_with_gpus(shape.gpus);
+    JobConfig cfg;
+    cfg.mode = ExecutionMode::kFunctional;
+    cfg.pipeline_depth = shape.depth;
 
-  sim::Simulator sim0;
-  Cluster cluster0(sim0, 2, node);
-  auto blocks_state = std::make_shared<apps::DgemmState>();
-  blocks_state->a = &a;
-  blocks_state->b = &b;
-  const auto blocks = run_job(cluster0, apps::dgemm_spec(blocks_state, 40, 70),
-                              cfg, a.rows());
-  linalg::MatrixD want(150, 70, 0.0);
-  for (const auto& [row, block] : blocks.output) {
-    ASSERT_FALSE(block.empty());
-    std::copy(block.data(), block.data() + block.size(),
-              want.row(static_cast<std::size_t>(row)));
-  }
-
-  for (const int threads : {1, 2, 4}) {
-    exec::ThreadPool::instance().configure(threads);
-    sim::Simulator sim1;
-    Cluster cluster1(sim1, 2, node);
-    linalg::MatrixD c(150, 70, 0.0);
-    auto state = std::make_shared<apps::DgemmState>();
-    state->a = &a;
-    state->b = &b;
-    state->c = &c;
-    const auto inplace =
-        run_job(cluster1, apps::dgemm_spec(state, 40, 70), cfg, a.rows());
-    ASSERT_EQ(inplace.output.size(), blocks.output.size());
-    for (const auto& [row, block] : inplace.output) {
-      EXPECT_TRUE(block.empty()) << "row " << row;
+    sim::Simulator sim0;
+    Cluster cluster0(sim0, shape.nodes, node);
+    auto blocks_state = std::make_shared<apps::DgemmState>();
+    blocks_state->a = &a;
+    blocks_state->b = &b;
+    const auto blocks_spec = apps::dgemm_spec(blocks_state, 40, 70);
+    EXPECT_FALSE(blocks_spec.cpu_map_run) << where;
+    const auto blocks = run_job(cluster0, blocks_spec, cfg, a.rows());
+    linalg::MatrixD want(150, 70, 0.0);
+    for (const auto& [row, block] : blocks.output) {
+      ASSERT_FALSE(block.empty()) << where;
+      std::copy(block.data(), block.data() + block.size(),
+                want.row(static_cast<std::size_t>(row)));
     }
-    EXPECT_EQ(std::memcmp(c.data(), want.data(), c.size() * sizeof(double)),
-              0)
-        << threads << " threads";
-    EXPECT_EQ(inplace.stats.elapsed, blocks.stats.elapsed);
-    EXPECT_EQ(inplace.stats.intermediate_pairs,
-              blocks.stats.intermediate_pairs);
-    EXPECT_EQ(inplace.stats.network_bytes, blocks.stats.network_bytes);
 
-    sim::Simulator sim2;
-    Cluster cluster2(sim2, 2, node);
-    const auto got = apps::dgemm_prs(cluster2, a, b, cfg);
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
-              0)
-        << threads << " threads";
+    for (const int threads : {1, 2, 4}) {
+      exec::ThreadPool::instance().configure(threads);
+      sim::Simulator sim1;
+      Cluster cluster1(sim1, shape.nodes, node);
+      linalg::MatrixD c(150, 70, 0.0);
+      auto state = std::make_shared<apps::DgemmState>();
+      state->a = &a;
+      state->b = &b;
+      state->c = &c;
+      const auto spec = apps::dgemm_spec(state, 40, 70);
+      EXPECT_TRUE(spec.cpu_map_run) << where;
+      const auto inplace = run_job(cluster1, spec, cfg, a.rows());
+      ASSERT_EQ(inplace.output.size(), blocks.output.size()) << where;
+      for (const auto& [row, block] : inplace.output) {
+        EXPECT_TRUE(block.empty()) << where << ", row " << row;
+      }
+      EXPECT_EQ(std::memcmp(c.data(), want.data(), c.size() * sizeof(double)),
+                0)
+          << where << ", " << threads << " threads";
+      EXPECT_EQ(inplace.stats.elapsed, blocks.stats.elapsed) << where;
+      EXPECT_EQ(inplace.stats.map_tasks, blocks.stats.map_tasks) << where;
+      EXPECT_EQ(inplace.stats.intermediate_pairs,
+                blocks.stats.intermediate_pairs)
+          << where;
+      EXPECT_EQ(inplace.stats.pcie_bytes, blocks.stats.pcie_bytes) << where;
+      EXPECT_EQ(inplace.stats.network_bytes, blocks.stats.network_bytes)
+          << where;
+
+      sim::Simulator sim2;
+      Cluster cluster2(sim2, shape.nodes, node);
+      const auto got = apps::dgemm_prs(cluster2, a, b, cfg);
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+          << where << ", " << threads << " threads";
+    }
   }
   exec::ThreadPool::instance().configure(0);
 }
