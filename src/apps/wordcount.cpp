@@ -50,17 +50,23 @@ class WordTable {
     }
   }
 
-  /// Emits every (word, count) in ascending key order — std::map's order —
-  /// and leaves the table empty for the thread's next task.
+  /// Emits every (word, count) in first-occurrence order and leaves the
+  /// table empty for the thread's next task. No order is imposed here: the
+  /// node combine and the reduce merge sort each destination's keys.
   void drain(core::Emitter<std::string, long>& e) {
-    std::sort(used_.begin(), used_.end(), [this](std::size_t a, std::size_t b) {
-      return slots_[a].key < slots_[b].key;
-    });
     e.reserve(used_.size());
     for (const std::size_t i : used_) {
       e.emit(std::string(slots_[i].key), slots_[i].count);
       slots_[i] = Slot{};
     }
+    used_.clear();
+  }
+
+  /// Forgets every word counted so far, even one whose slot was written
+  /// but not yet listed: a task that throws must leave no view into its
+  /// corpus for the thread's next task.
+  void clear() noexcept {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
     used_.clear();
   }
 
@@ -120,22 +126,30 @@ struct ShapeCounts {
   std::size_t bytes = 0, words = 0, word_bytes = 0;
 };
 
+/// The cost model's word separators; `|`, not `||`, so no branch.
+bool is_shape_space(char ch) { return (ch == ' ') | (ch == '\t'); }
+
 CorpusShape measure(const Corpus& corpus) {
   const ShapeCounts c = exec::parallel_reduce(
       0, corpus.size(), kMeasureGrain, ShapeCounts{},
       [&corpus](std::size_t b, std::size_t en, ShapeCounts acc) {
         for (std::size_t i = b; i < en; ++i) {
           const std::string& line = corpus[i];
-          acc.bytes += line.size();
-          bool in_word = false;
-          for (const char ch : line) {
-            const bool space = ch == ' ' || ch == '\t';
-            if (!space) {
-              ++acc.word_bytes;
-              if (!in_word) ++acc.words;
-            }
-            in_word = !space;
+          const std::size_t n = line.size();
+          if (n == 0) continue;
+          // Branch-free, so the compiler vectorizes it: a word starts at a
+          // non-space byte at position 0 or right after a space/tab.
+          const char* p = line.data();
+          std::size_t spaces = is_shape_space(p[0]);
+          std::size_t starts = !is_shape_space(p[0]);
+          for (std::size_t j = 1; j < n; ++j) {
+            const bool space = is_shape_space(p[j]);
+            spaces += space;
+            starts += !space & is_shape_space(p[j - 1]);
           }
+          acc.bytes += n;
+          acc.words += starts;
+          acc.word_bytes += n - spaces;
         }
         return acc;
       },
@@ -208,10 +222,15 @@ WordCountSpec wordcount_spec(std::shared_ptr<const Corpus> corpus) {
     // tasks side by side); the combiner inside the mapper leaves one pair
     // per distinct word.
     thread_local WordTable table;
-    for (std::size_t i = s.begin; i < s.end; ++i) {
-      table.count_line((*corpus)[i]);
+    try {
+      for (std::size_t i = s.begin; i < s.end; ++i) {
+        table.count_line((*corpus)[i]);
+      }
+      table.drain(e);
+    } catch (...) {
+      table.clear();
+      throw;
     }
-    table.drain(e);
   };
   spec.gpu_map = spec.cpu_map;
   spec.modeled_map = [](const core::InputSlice&,

@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
 #include "data/metrics.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace prs::apps {
 namespace {
@@ -509,6 +510,79 @@ TEST(WordCount, CostModelMeasuresTheActualCorpus) {
   // is line-length independent and shared by both runs, so the ratio is
   // damped well below the 5x byte ratio — but the per-byte part must show.
   EXPECT_GT(st40.map_time, 1.15 * st8.map_time);
+}
+
+/// The spec's per-line and per-pair costs computed by a plain per-byte
+/// scan with a word flag: space and tab separate words, any other byte is
+/// a word byte.
+struct BranchyShape {
+  double item_bytes = 0.0;
+  double pair_bytes = 0.0;
+};
+
+BranchyShape branchy_shape(const Corpus& corpus) {
+  std::size_t bytes = 0, words = 0, word_bytes = 0;
+  for (const auto& line : corpus) {
+    bytes += line.size();
+    bool in_word = false;
+    for (const char ch : line) {
+      const bool space = ch == ' ' || ch == '\t';
+      if (!space) {
+        ++word_bytes;
+        if (!in_word) ++words;
+      }
+      in_word = !space;
+    }
+  }
+  const auto n = static_cast<double>(corpus.size());
+  const double line_bytes = n > 0 ? static_cast<double>(bytes) / n : 0.0;
+  const double word_len = words > 0 ? static_cast<double>(word_bytes) /
+                                          static_cast<double>(words)
+                                    : 0.0;
+  return {line_bytes, word_len + 8.0};
+}
+
+TEST(WordCount, CostModelScanMatchesTheBranchyLoopExactly) {
+  // Corpora where a word-start count can go wrong: separator runs at
+  // either end and inside, empty and separator-only lines, the other
+  // C-locale whitespace (word bytes for the cost model, separators for the
+  // map), NUL and 0xFF bytes, and 1-byte lines. Each one is checked as is
+  // and repeated past three 4096-line scan chunks, at pool sizes 1 and 4.
+  using namespace std::string_literals;
+  const std::vector<Corpus> corpora = {
+      {"  lead", "trail  ", "\t\tboth\t ", "many   spaces\t\t\tand \t tabs",
+       " x y  z "},
+      {"", " ", "\t", " \t \t", "", "word", ""},
+      {"a\nb", "\v\f\r", "x\r\ny", " \n ", "mid\fdle\vword\r", "\n"},
+      {"nul\0in\0side"s, "\xff\xff \xff", "\0"s, " \0 "s, "\xff", "\0\t\xff"s},
+      {"x"},
+      {" "},
+      {"x", " ", "\t", "\0"s, "\xff", "", "y"},
+  };
+  struct PoolReset {
+    ~PoolReset() { exec::ThreadPool::instance().configure(0); }
+  } reset;
+  for (std::size_t c = 0; c < corpora.size(); ++c) {
+    Corpus repeated;
+    for (std::size_t i = 0; i < 3 * 4096 + 5; ++i) {
+      repeated.push_back(corpora[c][i % corpora[c].size()]);
+    }
+    const Corpus* const both[] = {&corpora[c], &repeated};
+    for (const Corpus* corpus : both) {
+      const BranchyShape want = branchy_shape(*corpus);
+      auto shared = std::make_shared<const Corpus>(*corpus);
+      for (const int threads : {1, 4}) {
+        exec::ThreadPool::instance().configure(threads);
+        const auto spec = wordcount_spec(shared);
+        SCOPED_TRACE("corpus " + std::to_string(c) + ", " +
+                     std::to_string(corpus->size()) + " lines, " +
+                     std::to_string(threads) + " threads");
+        EXPECT_EQ(spec.item_bytes, want.item_bytes);
+        EXPECT_EQ(spec.cpu_flops_per_item, want.item_bytes);
+        EXPECT_EQ(spec.pair_bytes, want.pair_bytes);
+      }
+    }
+  }
 }
 
 }  // namespace
