@@ -1,12 +1,12 @@
 #include "apps/cmeans.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <span>
+#include <limits>
 
 #include "common/error.hpp"
 #include "core/calibration.hpp"
 #include "exec/parallel.hpp"
-#include "linalg/blas.hpp"
 #include "simd/kernels.hpp"
 
 namespace prs::apps {
@@ -17,19 +17,23 @@ namespace {
 /// while still splitting test-sized inputs across cores.
 constexpr std::size_t kMapGrain = 256;
 
-/// Membership weights u_ij^m of one point against all centers (Eq (13)).
-/// Returns the per-cluster weights and accumulates the J_m contribution.
-/// `ct` is the transposed center pack (ct[c*m + j] = centers(j, c)) so the
-/// dispatched distance kernel reads contiguous lanes.
-void fuzzy_weights(const double* x, const double* ct, std::size_t m,
-                   std::size_t d, const simd::Kernels& kn, double fuzziness,
-                   std::vector<double>& weights, double& objective) {
-  weights.assign(m, 0.0);
+/// Points per block of the map: one dist2_rows call and one rank-kBlock
+/// gemm_block update of the sums per block.
+constexpr std::size_t kBlock = 16;
 
-  // Squared distances to every center.
-  static thread_local std::vector<double> dist2;
-  dist2.assign(m, 0.0);
-  kn.dist2_block(x, ct, m, d, dist2.data());
+/// Asks for the cache lines of the d doubles from x on.
+void prefetch_row(const double* x, std::size_t d) {
+  const auto* bytes = reinterpret_cast<const char*>(x);
+  for (std::size_t o = 0; o < d * sizeof(double); o += 64) {
+    __builtin_prefetch(bytes + o);
+  }
+}
+
+/// Membership weights u_ij^m of one point against all centers (Eq (13)),
+/// from its squared distances: weight j goes to w[j * stride]. Returns the
+/// point's J_m contribution (Eq (12)).
+double fuzzy_weights(const double* dist2, std::size_t m, double fuzziness,
+                     double* w, std::size_t stride) {
   std::size_t hits = 0;
   for (std::size_t j = 0; j < m; ++j) {
     if (dist2[j] == 0.0) ++hits;
@@ -41,11 +45,11 @@ void fuzzy_weights(const double* x, const double* ct, std::size_t m,
     // 1.0 on whichever zero-distance center the scan saw last. The stored
     // weight is u^m for Eq (14); the J_m contribution is 0 either way.
     const double u = 1.0 / static_cast<double>(hits);
-    const double w = std::pow(u, fuzziness);
+    const double wt = std::pow(u, fuzziness);
     for (std::size_t j = 0; j < m; ++j) {
-      if (dist2[j] == 0.0) weights[j] = w;
+      w[j * stride] = dist2[j] == 0.0 ? wt : 0.0;
     }
-    return;
+    return 0.0;
   }
 
   // u_ij = 1 / sum_k (||x-c_j|| / ||x-c_k||)^(2/(m-1))   (Eq (13))
@@ -54,46 +58,63 @@ void fuzzy_weights(const double* x, const double* ct, std::size_t m,
   // numerator: pow is a pure function, so the bytes are those of calling
   // it twice.
   const double inv_exp = 1.0 / (fuzziness - 1.0);
-  static thread_local std::vector<double> inv_pow;
-  inv_pow.resize(m);
   double denom_sum = 0.0;  // sum_k d2_k^(-1/(m-1))
   for (std::size_t k = 0; k < m; ++k) {
-    inv_pow[k] = std::pow(dist2[k], -inv_exp);
-    denom_sum += inv_pow[k];
+    w[k * stride] = std::pow(dist2[k], -inv_exp);
+    denom_sum += w[k * stride];
   }
+  double objective = 0.0;
   for (std::size_t j = 0; j < m; ++j) {
-    const double u = inv_pow[j] / denom_sum;
-    weights[j] = std::pow(u, fuzziness);       // u_ij^m for Eq (14)
-    objective += weights[j] * dist2[j];        // Eq (12) contribution
+    const double u = w[j * stride] / denom_sum;
+    w[j * stride] = std::pow(u, fuzziness);      // u_ij^m for Eq (14)
+    objective += w[j * stride] * dist2[j];       // Eq (12) contribution
   }
+  return objective;
 }
 
-/// Serial accumulation of points [begin, end) into zero-initialized
-/// per-cluster partials — the per-chunk body of cmeans_accumulate.
+/// Serial accumulation of points [begin, end) into the zero-initialized
+/// m x (d + 2) row-major sums — the per-chunk body of cmeans_accumulate.
+/// Each sum gets the operations of a per-point loop in ascending point
+/// order: cluster j's row c += w_ij * x_i[c] and its weight sum += w_ij,
+/// then cluster 0's objective += the point's J_m term.
 void accumulate_range(const linalg::MatrixD& points,
                       const linalg::MatrixD& centers, double fuzziness,
-                      std::size_t begin, std::size_t end,
-                      std::vector<std::vector<double>>& partials) {
+                      std::size_t begin, std::size_t end, double* sums) {
   const std::size_t m = centers.rows();
   const std::size_t d = centers.cols();
+  const std::size_t ld = d + 2;
   const simd::Kernels& kn = simd::active_kernels();
-  static thread_local std::vector<double> ct;
-  simd::pack_transposed(centers.row(0), m, d, ct);
-  std::vector<double> weights;
-  for (std::size_t i = begin; i < end; ++i) {
-    double objective = 0.0;
-    fuzzy_weights(points.row(i), ct.data(), m, d, kn, fuzziness, weights,
-                  objective);
-    for (std::size_t j = 0; j < m; ++j) {
-      const double w = weights[j];
-      if (w == 0.0) continue;
-      auto& p = partials[j];
-      const double* x = points.row(i);
-      kn.axpy_acc(p.data(), x, w, d);
-      p[d] += w;
+  // dist2 is kBlock x m; wt is m x kBlock, the block's weights transposed.
+  static thread_local std::vector<double> dist2, wt;
+  dist2.resize(kBlock * m);
+  wt.resize(m * kBlock);
+  double objective[kBlock] = {};
+  for (std::size_t b = begin; b < end; b += kBlock) {
+    const std::size_t nb = std::min(kBlock, end - b);
+    const double* x = points.row(b);
+    kn.dist2_rows(x, nb, d, centers.row(0), m, dist2.data());
+    for (std::size_t p = 0; p < nb; ++p) {
+      // Fetch the next block's rows while pow runs, one row per point:
+      // the distance kernel reads a whole block at once, and would wait
+      // for memory.
+      if (b + kBlock + p < end) prefetch_row(points.row(b + kBlock + p), d);
+      objective[p] = fuzzy_weights(dist2.data() + p * m, m, fuzziness,
+                                   wt.data() + p, kBlock);
     }
-    // The objective is accounted on cluster 0's partial (summed globally).
-    partials[0][d + 1] += objective;
+    // With alpha = beta = 1, c * 1 and 1 * w are exact, so each sum gets
+    // c + w_ij * x_i[c] for i in ascending order. A zero weight (a point
+    // on a center, or an underflow) adds +-0, which changes no sum: sums
+    // start at +0 and so never hold -0, and a point with an infinite or
+    // NaN coordinate has NaN weights, never zero ones, so 0 * inf cannot
+    // arise. Skipping zero weights would give the same bytes.
+    kn.gemm_block(m, d, nb, 1.0, wt.data(), kBlock, x, d, 1.0, sums, ld);
+    for (std::size_t p = 0; p < nb; ++p) {
+      for (std::size_t j = 0; j < m; ++j) {
+        sums[j * ld + d] += wt[j * kBlock + p];
+      }
+      // The objective is accounted on cluster 0's partial (summed globally).
+      sums[d + 1] += objective[p];
+    }
   }
 }
 
@@ -119,36 +140,6 @@ double update_centers(linalg::MatrixD& centers,
   return std::sqrt(max_move2);
 }
 
-std::vector<int> hard_assignment(const linalg::MatrixD& points,
-                                 const linalg::MatrixD& centers) {
-  // argmax_j u_ij == argmin_j ||x_i - c_j|| for any fuzziness > 1.
-  const std::size_t d = points.cols();
-  const std::size_t m = centers.rows();
-  const simd::Kernels& kn = simd::active_kernels();
-  std::vector<double> ct;
-  simd::pack_transposed(centers.row(0), m, d, ct);
-  std::vector<int> out(points.rows());
-  // Each point writes only its own slot: the same bytes at any thread
-  // count.
-  exec::parallel_for(
-      0, points.rows(), kMapGrain, [&](std::size_t b, std::size_t e) {
-        std::vector<double> dist2(m);
-        for (std::size_t i = b; i < e; ++i) {
-          kn.dist2_block(points.row(i), ct.data(), m, d, dist2.data());
-          double best = std::numeric_limits<double>::infinity();
-          int arg = 0;
-          for (std::size_t j = 0; j < m; ++j) {
-            if (dist2[j] < best) {
-              best = dist2[j];
-              arg = static_cast<int>(j);
-            }
-          }
-          out[i] = arg;
-        }
-      });
-  return out;
-}
-
 void validate_params(const linalg::MatrixD& points,
                      const CmeansParams& params) {
   PRS_REQUIRE(points.rows() > 0 && points.cols() > 0,
@@ -167,27 +158,54 @@ void cmeans_accumulate(const linalg::MatrixD& points,
                        std::size_t begin, std::size_t end,
                        std::vector<std::vector<double>>& partials) {
   const std::size_t m = centers.rows();
-  const std::size_t d = centers.cols();
-  using Partials = std::vector<std::vector<double>>;
-  if (begin >= end) {
-    partials.assign(m, std::vector<double>(d + 2, 0.0));
-    return;
-  }
+  const std::size_t ld = centers.cols() + 2;
   // Fixed chunking + fixed-order tree combine (exec/parallel.hpp): the
   // same bytes come out for any host thread count.
-  partials = exec::parallel_reduce(
-      begin, end, kMapGrain, Partials{},
-      [&](std::size_t b, std::size_t e, Partials acc) {
-        acc.assign(m, std::vector<double>(d + 2, 0.0));
-        accumulate_range(points, centers, fuzziness, b, e, acc);
+  const std::vector<double> sums = exec::parallel_reduce(
+      begin, end, kMapGrain, std::vector<double>(m * ld, 0.0),
+      [&](std::size_t b, std::size_t e, std::vector<double> acc) {
+        accumulate_range(points, centers, fuzziness, b, e, acc.data());
         return acc;
       },
-      [](Partials a, Partials b) {
-        for (std::size_t j = 0; j < a.size(); ++j) {
-          for (std::size_t c = 0; c < a[j].size(); ++c) a[j][c] += b[j][c];
-        }
+      [](std::vector<double> a, const std::vector<double>& b) {
+        for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
         return a;
       });
+  partials.resize(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    partials[j].assign(sums.data() + j * ld, sums.data() + (j + 1) * ld);
+  }
+}
+
+std::vector<int> nearest_centers(const linalg::MatrixD& points,
+                                 const linalg::MatrixD& centers) {
+  const std::size_t d = points.cols();
+  const std::size_t m = centers.rows();
+  const simd::Kernels& kn = simd::active_kernels();
+  std::vector<int> out(points.rows());
+  // Each point writes only its own slot: the same bytes at any thread
+  // count.
+  exec::parallel_for(
+      0, points.rows(), kMapGrain, [&](std::size_t b, std::size_t e) {
+        std::vector<double> dist2(kBlock * m);
+        for (std::size_t i0 = b; i0 < e; i0 += kBlock) {
+          const std::size_t nb = std::min(kBlock, e - i0);
+          kn.dist2_rows(points.row(i0), nb, d, centers.row(0), m,
+                        dist2.data());
+          for (std::size_t p = 0; p < nb; ++p) {
+            double best = std::numeric_limits<double>::infinity();
+            int arg = 0;
+            for (std::size_t j = 0; j < m; ++j) {
+              if (dist2[p * m + j] < best) {
+                best = dist2[p * m + j];
+                arg = static_cast<int>(j);
+              }
+            }
+            out[i0 + p] = arg;
+          }
+        }
+      });
+  return out;
 }
 
 linalg::MatrixD initial_centers(const linalg::MatrixD& points, int clusters,
@@ -227,7 +245,7 @@ CmeansResult cmeans_serial(const linalg::MatrixD& points,
     res.iterations = iter + 1;
     if (move < params.epsilon) break;
   }
-  res.assignment = hard_assignment(points, res.centers);
+  res.assignment = nearest_centers(points, res.centers);
   return res;
 }
 
@@ -361,7 +379,7 @@ CmeansResult cmeans_prs(core::Cluster& cluster, const linalg::MatrixD& points,
 
   res.centers = state->centers;
   if (cfg.mode == core::ExecutionMode::kFunctional) {
-    res.assignment = hard_assignment(points, res.centers);
+    res.assignment = nearest_centers(points, res.centers);
   } else {
     res.iterations = iterative.iterations;
   }

@@ -92,6 +92,14 @@ CmeansResult cmeans_prs(core::Cluster& cluster,
 linalg::MatrixD initial_centers(const linalg::MatrixD& points, int clusters,
                                 std::uint64_t seed);
 
+/// Index of each point's nearest center: the first j with the least
+/// squared distance (0 when every distance is NaN or +inf). This is
+/// C-means' hard assignment (argmax_j u_ij == argmin_j ||x_i - c_j|| for any
+/// fuzziness > 1) and K-means' assignment. Runs on the host thread pool;
+/// the same bytes at any thread count and SIMD level.
+std::vector<int> nearest_centers(const linalg::MatrixD& points,
+                                 const linalg::MatrixD& centers);
+
 /// The map kernel: accumulates points [begin, end) into per-cluster
 /// partials [weighted x sums (D), weight sum, objective partial]. Runs on
 /// the host thread pool (exec/parallel.hpp) with fixed chunking, so the

@@ -1,14 +1,13 @@
 #include "apps/kmeans.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <span>
 
-#include "apps/cmeans.hpp"  // initial_centers
+#include "apps/cmeans.hpp"  // initial_centers, nearest_centers
 #include "common/error.hpp"
 #include "core/calibration.hpp"
 #include "exec/parallel.hpp"
-#include "linalg/blas.hpp"
 #include "simd/kernels.hpp"
 
 namespace prs::apps {
@@ -18,37 +17,8 @@ namespace {
 /// hand-off on the cheapest shapes.
 constexpr std::size_t kMapGrain = 512;
 
-int nearest_center(std::span<const double> x, const linalg::MatrixD& centers,
-                   double& dist2_out) {
-  const std::size_t d = centers.cols();
-  double best = std::numeric_limits<double>::infinity();
-  int arg = 0;
-  for (std::size_t j = 0; j < centers.rows(); ++j) {
-    const double d2 =
-        linalg::squared_distance<double>(x, {centers.row(j), d});
-    if (d2 < best) {
-      best = d2;
-      arg = static_cast<int>(j);
-    }
-  }
-  dist2_out = best;
-  return arg;
-}
-
-/// Nearest center of every point. Each point writes only its own slot:
-/// the same bytes at any thread count.
-std::vector<int> assign_to_nearest(const linalg::MatrixD& points,
-                                   const linalg::MatrixD& centers) {
-  std::vector<int> out(points.rows());
-  exec::parallel_for(
-      0, points.rows(), kMapGrain, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          double d2 = 0.0;
-          out[i] = nearest_center({points.row(i), points.cols()}, centers, d2);
-        }
-      });
-  return out;
-}
+/// Points per dist2_rows call.
+constexpr std::size_t kBlock = 16;
 
 /// Serial per-chunk body: accumulates [begin, end) into zero-initialized
 /// per-cluster partials [sum x (D), count, inertia].
@@ -59,27 +29,27 @@ void accumulate_range(const linalg::MatrixD& points,
   const std::size_t m = centers.rows();
   const std::size_t d = centers.cols();
   const simd::Kernels& kn = simd::active_kernels();
-  static thread_local std::vector<double> ct;
-  simd::pack_transposed(centers.row(0), m, d, ct);
   static thread_local std::vector<double> dist2;
-  dist2.assign(m, 0.0);
-  for (std::size_t i = begin; i < end; ++i) {
-    const double* x = points.row(i);
-    // Same strict-< ascending-j argmin as nearest_center, on dispatched
-    // per-center distances (bit-identical across SIMD levels).
-    kn.dist2_block(x, ct.data(), m, d, dist2.data());
-    double d2 = std::numeric_limits<double>::infinity();
-    std::size_t j = 0;
-    for (std::size_t k = 0; k < m; ++k) {
-      if (dist2[k] < d2) {
-        d2 = dist2[k];
-        j = k;
+  dist2.resize(kBlock * m);
+  for (std::size_t b = begin; b < end; b += kBlock) {
+    const std::size_t nb = std::min(kBlock, end - b);
+    kn.dist2_rows(points.row(b), nb, d, centers.row(0), m, dist2.data());
+    for (std::size_t p = 0; p < nb; ++p) {
+      // The strict-< ascending-j argmin of nearest_centers.
+      const double* row = dist2.data() + p * m;
+      double d2 = std::numeric_limits<double>::infinity();
+      std::size_t j = 0;
+      for (std::size_t k = 0; k < m; ++k) {
+        if (row[k] < d2) {
+          d2 = row[k];
+          j = k;
+        }
       }
+      auto& acc = partials[j];
+      kn.add_acc(acc.data(), points.row(b + p), d);
+      acc[d] += 1.0;
+      partials[0][d + 1] += d2;  // inertia accounted on cluster 0
     }
-    auto& p = partials[j];
-    kn.add_acc(p.data(), x, d);
-    p[d] += 1.0;
-    partials[0][d + 1] += d2;  // inertia accounted on cluster 0
   }
 }
 
@@ -155,7 +125,7 @@ KmeansResult kmeans_serial(const linalg::MatrixD& points,
     res.iterations = iter + 1;
     if (move < params.epsilon) break;
   }
-  res.assignment = assign_to_nearest(points, res.centers);
+  res.assignment = nearest_centers(points, res.centers);
   return res;
 }
 
@@ -269,7 +239,7 @@ KmeansResult kmeans_prs(core::Cluster& cluster, const linalg::MatrixD& points,
 
   res.centers = state->centers;
   if (cfg.mode == core::ExecutionMode::kFunctional) {
-    res.assignment = assign_to_nearest(points, res.centers);
+    res.assignment = nearest_centers(points, res.centers);
   } else {
     res.iterations = iterative.iterations;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
 #include "exec/parallel.hpp"
@@ -21,7 +22,7 @@ Dataset sample_gaussian_mixture(Rng& rng, std::size_t n,
   }
 
   Dataset ds;
-  ds.points = linalg::MatrixD(n, d);
+  ds.points = linalg::MatrixD(n, d, linalg::Uninitialized{});
   ds.labels.resize(n);
   ds.num_clusters = static_cast<int>(comps.size());
 
@@ -90,7 +91,7 @@ Dataset generate_blobs(Rng& rng, std::size_t n, std::size_t d, int k,
 namespace {
 
 /// One uniform draw per element, element order.
-void fill_uniform(Rng& rng, std::vector<double>& v, double lo, double hi) {
+void fill_uniform(Rng& rng, std::span<double> v, double lo, double hi) {
   exec::parallel_generate(rng, v.size(), exec::kGenerateDraws, 1,
                           [&](std::size_t b, std::size_t e, Rng& r) {
                             for (std::size_t i = b; i < e; ++i) {

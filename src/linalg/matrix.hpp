@@ -7,18 +7,50 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace prs::linalg {
 
+/// std::allocator that default-initializes where std::allocator
+/// value-initializes: a vector of doubles sized without a fill value is
+/// left unset rather than zero-filled.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// Selects the Matrix constructor that leaves the elements unset, for a
+/// matrix a parallel writer overwrites in full: the pool lanes that write
+/// it then touch its pages first, instead of the allocating thread
+/// zero-filling them.
+struct Uninitialized {};
+
 template <typename T>
 class Matrix {
  public:
+  using Storage = std::vector<T, DefaultInitAllocator<T>>;
+
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, T fill = T{})
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+  Matrix(std::size_t rows, std::size_t cols, Uninitialized)
+      : rows_(rows), cols_(cols), data_(rows * cols) {}
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -47,15 +79,15 @@ class Matrix {
   T* data() { return data_.data(); }
   const T* data() const { return data_.data(); }
 
-  std::vector<T>& storage() { return data_; }
-  const std::vector<T>& storage() const { return data_; }
+  Storage& storage() { return data_; }
+  const Storage& storage() const { return data_; }
 
   bool operator==(const Matrix&) const = default;
 
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<T> data_;
+  Storage data_;
 };
 
 using MatrixF = Matrix<float>;

@@ -125,17 +125,20 @@ double measure_host_speedup() {
   const Kernels& sc = scalar_kernels();
   if (&vec == &sc) return 1.0;
 
-  // Shapes representative of the clustering hot loops: 16 centers x 64
-  // dims distances plus a 1024-wide weighted row update.
-  constexpr std::size_t kM = 16, kD = 64, kN = 1024, kReps = 400;
-  std::vector<double> x(kD), ct(kM * kD), dist(kM);
-  std::vector<double> acc(kN, 0.0), row(kN);
-  for (std::size_t i = 0; i < kD; ++i) x[i] = 0.25 * static_cast<double>(i);
-  for (std::size_t i = 0; i < ct.size(); ++i) {
-    ct[i] = 1.0 + 0.001 * static_cast<double>(i % 997);
+  // The clustering map's two kernels on one 16-point block: distances to
+  // 16 centers in 64 dims, then the block's rank-16 update of the
+  // 16 x 64 weighted sums.
+  constexpr std::size_t kB = 16, kM = 16, kD = 64, kReps = 400;
+  std::vector<double> x(kB * kD), centers(kM * kD), dist(kB * kM);
+  std::vector<double> w(kM * kB), acc(kM * kD, 0.0);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 0.25 * static_cast<double>(i % kD);
   }
-  for (std::size_t i = 0; i < kN; ++i) {
-    row[i] = 0.5 + 0.002 * static_cast<double>(i % 499);
+  for (std::size_t i = 0; i < centers.size(); ++i) {
+    centers[i] = 1.0 + 0.001 * static_cast<double>(i % 997);
+  }
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = 0.5 + 0.002 * static_cast<double>(i % 499);
   }
 
   auto run = [&](const Kernels& k) {
@@ -144,8 +147,9 @@ double measure_host_speedup() {
     for (int trial = 0; trial < 3; ++trial) {
       const auto t0 = clock::now();
       for (std::size_t rep = 0; rep < kReps; ++rep) {
-        k.dist2_block(x.data(), ct.data(), kM, kD, dist.data());
-        k.axpy_acc(acc.data(), row.data(), 1.0 + dist[0] * 1e-300, kN);
+        k.dist2_rows(x.data(), kB, kD, centers.data(), kM, dist.data());
+        k.gemm_block(kM, kD, kB, 1.0, w.data(), kB, x.data(), kD, 1.0,
+                     acc.data(), kD);
       }
       const double s =
           std::chrono::duration<double>(clock::now() - t0).count();

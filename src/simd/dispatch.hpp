@@ -56,7 +56,8 @@ void set_level(const std::string& name);
 void clear_level_override();
 
 /// Wall-clock micro-benchmark of the active level against the scalar
-/// reference on the distance / row-update kernels. Returns the speedup
+/// reference on the clustering map's kernels (dist2_rows and a rank-k
+/// gemm_block update). Returns the speedup
 /// ratio clamped to [1, 16] (1.0 when the active level IS scalar). Feeds
 /// Eq (8) through JobConfig::host_simd_scale (--simd-calibrate).
 double measure_host_speedup();

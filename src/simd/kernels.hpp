@@ -1,12 +1,16 @@
 // The prs::simd kernel table: vectorized forms of the hot inner loops of
 // the eight applications and the linalg BLAS subset.
 //
-// Layout convention: dist2_block and quad_block take the small model matrix
-// (centers / means / variances, M x D row-major everywhere else) packed
-// COLUMN-major — ct[c * m + j] = centers(j, c) — so that lane j of a
-// vector register walks center j while consecutive lanes load contiguous
-// memory. pack_transposed() below builds that layout; the packing is pure
-// data movement, so results are bit-identical to reading rows directly.
+// Layout convention: dist2_rows reads the points and the centers as they
+// are stored, row-major, and puts points in the vector lanes (it transposes
+// each block of point rows itself), so a lane's sum runs over the
+// dimensions of one point. quad_block takes the small model matrix (means /
+// variances, M x D row-major everywhere else) packed COLUMN-major —
+// mu_t[c * m + j] = means(j, c) — so that lane j of a vector register walks
+// component j while consecutive lanes load contiguous memory;
+// pack_transposed() below builds that layout. Packing and transposing are
+// pure data movement, so results are bit-identical to reading rows
+// directly.
 //
 // Determinism: every kernel accumulates each output element in exactly
 // the scalar reference order (lane-per-output, separate multiply and add,
@@ -24,19 +28,18 @@
 namespace prs::simd {
 
 struct Kernels {
-  /// out[j] = sum_c (x[c] - ct[c*m+j])^2 for j in [0, m) — the cmeans /
-  /// kmeans distance row (linalg::squared_distance against every center).
-  void (*dist2_block)(const double* x, const double* ct, std::size_t m,
-                      std::size_t d, double* out);
+  /// out[i*m + j] = sum_c (x[i*d + c] - centers[j*d + c])^2 for the n
+  /// row-major points x and the m row-major centers: the cmeans / kmeans
+  /// distances (linalg::squared_distance of every point against every
+  /// center), each summed from 0.0 over ascending c.
+  void (*dist2_rows)(const double* x, std::size_t n, std::size_t d,
+                     const double* centers, std::size_t m, double* out);
 
   /// out[j] = sum_c (x[c] - mu_t[c*m+j])^2 / var_t[c*m+j] — the GMM
   /// Mahalanobis quadratic term (diagonal covariance, Eq (15)).
   void (*quad_block)(const double* x, const double* mu_t,
                      const double* var_t, std::size_t m, std::size_t d,
                      double* out);
-
-  /// acc[i] += w * x[i] (cmeans weighted accumulation).
-  void (*axpy_acc)(double* acc, const double* x, double w, std::size_t n);
 
   /// acc[i] += x[i] (kmeans per-cluster sums).
   void (*add_acc)(double* acc, const double* x, std::size_t n);
@@ -87,7 +90,7 @@ const Kernels& kernels_for(Level level);
 inline const Kernels& active_kernels() { return kernels_for(active_level()); }
 
 /// Packs a row-major (rows x cols) block into the column-major lane
-/// layout dist2_block and quad_block read:
+/// layout quad_block reads:
 /// out[c * rows + j] = a[j * cols + c].
 inline void pack_transposed(const double* a, std::size_t rows,
                             std::size_t cols, std::vector<double>& out) {

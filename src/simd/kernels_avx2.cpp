@@ -24,28 +24,77 @@ namespace {
 
 constexpr std::size_t kW = 4;  // doubles per __m256d
 
-void dist2_block(const double* x, const double* ct, std::size_t m,
-                 std::size_t d, double* out) {
-  std::size_t j = 0;
-  for (; j + kW <= m; j += kW) {
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t c = 0; c < d; ++c) {
-      const __m256d xc = _mm256_set1_pd(x[c]);
-      const __m256d cc = _mm256_loadu_pd(ct + c * m + j);
-      const __m256d diff = _mm256_sub_pd(xc, cc);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+// dist2_rows: the lanes hold kW points; same scheme as the AVX-512 TU,
+// with groups of at most 8 centers (8 accumulators of the 16 ymm, leaving
+// room for the coordinates, the broadcast center and the difference).
+constexpr std::size_t kDistDims = 128;   // dimensions per transposed tile
+constexpr std::size_t kDistCenters = 8;  // centers per register group
+
+template <std::size_t G>
+void dist2_group(const double* xt, std::size_t dims, const double* cen,
+                 std::size_t d, double* sums) {
+  __m256d acc[G];
+#pragma GCC unroll 8
+  for (std::size_t g = 0; g < G; ++g) acc[g] = _mm256_load_pd(sums + g * kW);
+  for (std::size_t c = 0; c < dims; ++c) {
+    const __m256d xv = _mm256_load_pd(xt + c * kW);
+#pragma GCC unroll 8
+    for (std::size_t g = 0; g < G; ++g) {
+      const __m256d diff = _mm256_sub_pd(xv, _mm256_set1_pd(cen[g * d + c]));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(diff, diff));
     }
-    _mm256_storeu_pd(out + j, acc);
   }
-  if (j < m) {
-    // Tail centers: the scalar reference on the same packed layout.
-    for (; j < m; ++j) {
-      double acc = 0.0;
-      for (std::size_t c = 0; c < d; ++c) {
-        const double diff = x[c] - ct[c * m + j];
-        acc += diff * diff;
+#pragma GCC unroll 8
+  for (std::size_t g = 0; g < G; ++g) _mm256_store_pd(sums + g * kW, acc[g]);
+}
+
+using DistGroup = void (*)(const double*, std::size_t, const double*,
+                           std::size_t, double*);
+
+// [centers in the group - 1]
+constexpr DistGroup kDistGroups[kDistCenters] = {
+    dist2_group<1>, dist2_group<2>, dist2_group<3>, dist2_group<4>,
+    dist2_group<5>, dist2_group<6>, dist2_group<7>, dist2_group<8>,
+};
+
+void dist2_rows(const double* x, std::size_t n, std::size_t d,
+                const double* centers, std::size_t m, double* out) {
+  alignas(32) double xt[kDistDims * kW];
+  alignas(32) double sums[kDistCenters * kW];
+  const std::size_t groups = (m + kDistCenters - 1) / kDistCenters;
+  const auto dd = static_cast<long long>(d);
+  const __m256i rows = _mm256_set_epi64x(3 * dd, 2 * dd, dd, 0);
+  for (std::size_t i0 = 0; i0 < n; i0 += kW) {
+    const std::size_t lanes = std::min(kW, n - i0);
+    // Lane l is live when l < lanes (sign bit set).
+    const __m256d live = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(lanes)),
+        _mm256_set_epi64x(3, 2, 1, 0)));
+    double* ob = out + i0 * m;
+    for (std::size_t c0 = 0; c0 == 0 || c0 < d; c0 += kDistDims) {
+      const std::size_t dims = std::min(kDistDims, d - c0);
+      const double* xb = x + i0 * d + c0;
+      for (std::size_t c = 0; c < dims; ++c) {
+        _mm256_store_pd(xt + c * kW,
+                        _mm256_mask_i64gather_pd(_mm256_setzero_pd(), xb + c,
+                                                 rows, live, 8));
       }
-      out[j] = acc;
+      for (std::size_t g = 0; g < groups; ++g) {
+        const std::size_t j0 = m * g / groups;
+        const std::size_t size = m * (g + 1) / groups - j0;
+        for (std::size_t k = 0; k < size; ++k) {
+          for (std::size_t l = 0; l < kW; ++l) {
+            sums[k * kW + l] =
+                c0 > 0 && l < lanes ? ob[l * m + j0 + k] : 0.0;
+          }
+        }
+        kDistGroups[size - 1](xt, dims, centers + j0 * d + c0, d, sums);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          for (std::size_t k = 0; k < size; ++k) {
+            ob[l * m + j0 + k] = sums[k * kW + l];
+          }
+        }
+      }
     }
   }
 }
@@ -73,17 +122,6 @@ void quad_block(const double* x, const double* mu_t, const double* var_t,
     }
     out[j] = quad;
   }
-}
-
-void axpy_acc(double* acc, const double* x, double w, std::size_t n) {
-  const __m256d wv = _mm256_set1_pd(w);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256d a = _mm256_loadu_pd(acc + i);
-    const __m256d xv = _mm256_loadu_pd(x + i);
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(a, _mm256_mul_pd(wv, xv)));
-  }
-  for (; i < n; ++i) acc[i] += w * x[i];
 }
 
 void add_acc(double* acc, const double* x, std::size_t n) {
@@ -347,9 +385,8 @@ bool avx2_compiled() { return true; }
 
 const Kernels& avx2_kernels() {
   static const Kernels table = {
-      dist2_block, quad_block,  axpy_acc,    add_acc,
-      moments_acc, row_dots,    stencil_row, gemm_block,
-      fnv_span,
+      dist2_rows, quad_block,  add_acc,    moments_acc,
+      row_dots,   stencil_row, gemm_block, fnv_span,
   };
   return table;
 }

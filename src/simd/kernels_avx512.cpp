@@ -20,26 +20,83 @@ namespace {
 
 constexpr std::size_t kW = 8;  // doubles per __m512d
 
-void dist2_block(const double* x, const double* ct, std::size_t m,
-                 std::size_t d, double* out) {
-  std::size_t j = 0;
-  for (; j + kW <= m; j += kW) {
-    __m512d acc = _mm512_setzero_pd();
-    for (std::size_t c = 0; c < d; ++c) {
-      const __m512d xc = _mm512_set1_pd(x[c]);
-      const __m512d cc = _mm512_loadu_pd(ct + c * m + j);
-      const __m512d diff = _mm512_sub_pd(xc, cc);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(diff, diff));
+// dist2_rows: the lanes hold kW points. A block's point rows are
+// transposed kDistDims dimensions at a time into xt (row c holds coordinate
+// c of every point; a masked gather leaves lanes past n at zero). Centers
+// run in groups of at most kDistCenters, one accumulator register each, so
+// every coordinate loaded is used by the whole group; between tiles a
+// group's sums wait in `out`. Per lane the operations are
+// ref::dist2_rows': from 0.0, + (x - c)^2 in ascending c, unfused.
+constexpr std::size_t kDistDims = 128;    // dimensions per transposed tile
+constexpr std::size_t kDistCenters = 12;  // centers per register group
+
+template <std::size_t G>
+void dist2_group(const double* xt, std::size_t dims, const double* cen,
+                 std::size_t d, double* sums) {
+  __m512d acc[G];
+#pragma GCC unroll 12
+  for (std::size_t g = 0; g < G; ++g) acc[g] = _mm512_load_pd(sums + g * kW);
+  for (std::size_t c = 0; c < dims; ++c) {
+    const __m512d xv = _mm512_load_pd(xt + c * kW);
+#pragma GCC unroll 12
+    for (std::size_t g = 0; g < G; ++g) {
+      const __m512d diff = _mm512_sub_pd(xv, _mm512_set1_pd(cen[g * d + c]));
+      acc[g] = _mm512_add_pd(acc[g], _mm512_mul_pd(diff, diff));
     }
-    _mm512_storeu_pd(out + j, acc);
   }
-  for (; j < m; ++j) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff = x[c] - ct[c * m + j];
-      acc += diff * diff;
+#pragma GCC unroll 12
+  for (std::size_t g = 0; g < G; ++g) _mm512_store_pd(sums + g * kW, acc[g]);
+}
+
+using DistGroup = void (*)(const double*, std::size_t, const double*,
+                           std::size_t, double*);
+
+// [centers in the group - 1]
+constexpr DistGroup kDistGroups[kDistCenters] = {
+    dist2_group<1>, dist2_group<2>,  dist2_group<3>,  dist2_group<4>,
+    dist2_group<5>, dist2_group<6>,  dist2_group<7>,  dist2_group<8>,
+    dist2_group<9>, dist2_group<10>, dist2_group<11>, dist2_group<12>,
+};
+
+void dist2_rows(const double* x, std::size_t n, std::size_t d,
+                const double* centers, std::size_t m, double* out) {
+  alignas(64) double xt[kDistDims * kW];
+  alignas(64) double sums[kDistCenters * kW];
+  // Equal groups: 10 centers run as one group of 10, 13 as 6 + 7.
+  const std::size_t groups = (m + kDistCenters - 1) / kDistCenters;
+  const __m512i rows =
+      _mm512_mullo_epi64(_mm512_set1_epi64(static_cast<long long>(d)),
+                         _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
+  for (std::size_t i0 = 0; i0 < n; i0 += kW) {
+    const std::size_t lanes = std::min(kW, n - i0);
+    const auto live = static_cast<__mmask8>((1u << lanes) - 1u);
+    double* ob = out + i0 * m;
+    // One pass when d == 0 too: every output is then 0.0.
+    for (std::size_t c0 = 0; c0 == 0 || c0 < d; c0 += kDistDims) {
+      const std::size_t dims = std::min(kDistDims, d - c0);
+      const double* xb = x + i0 * d + c0;
+      for (std::size_t c = 0; c < dims; ++c) {
+        _mm512_store_pd(xt + c * kW,
+                        _mm512_mask_i64gather_pd(_mm512_setzero_pd(), live,
+                                                 rows, xb + c, 8));
+      }
+      for (std::size_t g = 0; g < groups; ++g) {
+        const std::size_t j0 = m * g / groups;
+        const std::size_t size = m * (g + 1) / groups - j0;
+        for (std::size_t k = 0; k < size; ++k) {
+          for (std::size_t l = 0; l < kW; ++l) {
+            sums[k * kW + l] =
+                c0 > 0 && l < lanes ? ob[l * m + j0 + k] : 0.0;
+          }
+        }
+        kDistGroups[size - 1](xt, dims, centers + j0 * d + c0, d, sums);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          for (std::size_t k = 0; k < size; ++k) {
+            ob[l * m + j0 + k] = sums[k * kW + l];
+          }
+        }
+      }
     }
-    out[j] = acc;
   }
 }
 
@@ -66,17 +123,6 @@ void quad_block(const double* x, const double* mu_t, const double* var_t,
     }
     out[j] = quad;
   }
-}
-
-void axpy_acc(double* acc, const double* x, double w, std::size_t n) {
-  const __m512d wv = _mm512_set1_pd(w);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m512d a = _mm512_loadu_pd(acc + i);
-    const __m512d xv = _mm512_loadu_pd(x + i);
-    _mm512_storeu_pd(acc + i, _mm512_add_pd(a, _mm512_mul_pd(wv, xv)));
-  }
-  for (; i < n; ++i) acc[i] += w * x[i];
 }
 
 void add_acc(double* acc, const double* x, std::size_t n) {
@@ -307,9 +353,8 @@ bool avx512_compiled() { return true; }
 
 const Kernels& avx512_kernels() {
   static const Kernels table = {
-      dist2_block, quad_block,  axpy_acc,    add_acc,
-      moments_acc, row_dots,    stencil_row, gemm_block,
-      fnv_span,
+      dist2_rows, quad_block,  add_acc,    moments_acc,
+      row_dots,   stencil_row, gemm_block, fnv_span,
   };
   return table;
 }

@@ -8,9 +8,9 @@ namespace prs::simd {
 
 const Kernels& scalar_kernels() {
   static const Kernels table = {
-      ref::dist2_block, ref::quad_block,  ref::axpy_acc,
-      ref::add_acc,     ref::moments_acc, ref::row_dots,
-      ref::stencil_row, ref::gemm_block,  ref::fnv_bytes,
+      ref::dist2_rows, ref::quad_block,  ref::add_acc,
+      ref::moments_acc, ref::row_dots,  ref::stencil_row,
+      ref::gemm_block,  ref::fnv_bytes,
   };
   return table;
 }

@@ -6,9 +6,9 @@
 // never auto-reassociated without -ffast-math).
 //
 // The loops mirror the original app/linalg code they replaced (cmeans.cpp
-// fuzzy_weights, gmm.cpp log_gaussian, blas.hpp gemm/gemv, stencil.cpp
-// relax_rows) operation-for-operation: that is what makes PRS_SIMD=scalar
-// byte-identical to the pre-simd runner.
+// fuzzy_weights and linalg::squared_distance, gmm.cpp log_gaussian,
+// blas.hpp gemm/gemv, stencil.cpp relax_rows) operation-for-operation:
+// that is what makes PRS_SIMD=scalar byte-identical to the pre-simd runner.
 #pragma once
 
 #include <algorithm>
@@ -18,15 +18,17 @@
 
 namespace prs::simd::ref {
 
-inline void dist2_block(const double* x, const double* ct, std::size_t m,
-                        std::size_t d, double* out) {
-  for (std::size_t j = 0; j < m; ++j) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff = x[c] - ct[c * m + j];
-      acc += diff * diff;
+inline void dist2_rows(const double* x, std::size_t n, std::size_t d,
+                       const double* centers, std::size_t m, double* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      double acc = 0.0;
+      for (std::size_t c = 0; c < d; ++c) {
+        const double diff = x[i * d + c] - centers[j * d + c];
+        acc += diff * diff;
+      }
+      out[i * m + j] = acc;
     }
-    out[j] = acc;
   }
 }
 
@@ -41,10 +43,6 @@ inline void quad_block(const double* x, const double* mu_t,
     }
     out[j] = quad;
   }
-}
-
-inline void axpy_acc(double* acc, const double* x, double w, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += w * x[i];
 }
 
 inline void add_acc(double* acc, const double* x, std::size_t n) {

@@ -3,7 +3,10 @@
 // algorithmic invariants (objective monotonicity, likelihood ascent).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "apps/cmeans.hpp"
 #include "apps/gemv.hpp"
@@ -14,6 +17,8 @@
 #include "data/dataset.hpp"
 #include "data/metrics.hpp"
 #include "exec/thread_pool.hpp"
+#include "simd/dispatch.hpp"
+#include "simd/scalar_ref.hpp"
 
 namespace prs::apps {
 namespace {
@@ -211,6 +216,107 @@ TEST(CmeansMapKernel, SingleZeroDistanceCenterKeepsFullMembership) {
   cmeans_accumulate(pts, centers, 2.0, 0, 1, partials);
   EXPECT_DOUBLE_EQ(partials[0][2], 1.0);
   EXPECT_DOUBLE_EQ(partials[1][2], 0.0);
+}
+
+/// The C-means map as a per-point loop: each point's Eq (13) weights from
+/// the scalar reference distances, then one axpy and one weight-sum add
+/// per nonzero weight and the point's J_m term, in point order.
+std::vector<std::vector<double>> cmeans_per_point_reference(
+    const linalg::MatrixD& pts, const linalg::MatrixD& centers,
+    double fuzziness) {
+  const std::size_t m = centers.rows();
+  const std::size_t d = centers.cols();
+  std::vector<std::vector<double>> partials(m,
+                                            std::vector<double>(d + 2, 0.0));
+  std::vector<double> dist2(m), w(m);
+  for (std::size_t i = 0; i < pts.rows(); ++i) {
+    const double* x = pts.row(i);
+    simd::ref::dist2_rows(x, 1, d, centers.row(0), m, dist2.data());
+    const auto hits = std::count(dist2.begin(), dist2.end(), 0.0);
+    double objective = 0.0;
+    if (hits > 0) {
+      const double tied = std::pow(1.0 / static_cast<double>(hits), fuzziness);
+      for (std::size_t j = 0; j < m; ++j) w[j] = dist2[j] == 0.0 ? tied : 0.0;
+    } else {
+      const double inv_exp = 1.0 / (fuzziness - 1.0);
+      double denom = 0.0;
+      for (std::size_t j = 0; j < m; ++j) {
+        w[j] = std::pow(dist2[j], -inv_exp);
+        denom += w[j];
+      }
+      for (std::size_t j = 0; j < m; ++j) {
+        w[j] = std::pow(w[j] / denom, fuzziness);
+        objective += w[j] * dist2[j];
+      }
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      if (w[j] == 0.0) continue;
+      for (std::size_t c = 0; c < d; ++c) partials[j][c] += w[j] * x[c];
+      partials[j][d] += w[j];
+    }
+    partials[0][d + 1] += objective;
+  }
+  return partials;
+}
+
+TEST(CmeansMapKernel, BlockedMapMatchesAPerPointReferenceLoop) {
+  // The map runs 16-point blocks, each one rank-16 gemm_block update that
+  // adds zero weights too. Its bytes must be the per-point loop's, which
+  // skips them, at every SIMD level and pool size. 257 points make
+  // two 256-point chunks, the second of one point, so the chunk combine
+  // adds that point's terms to the first chunk's sums exactly as the loop
+  // does (0 + t == t).
+  // A runtime fuzziness: with a constant 2.0, GCC folds the reference's
+  // pow(u, 2.0) into u * u, whose bytes are not pow's.
+  volatile double runtime_fuzziness = 2.0;
+  const double fuzziness = runtime_fuzziness;
+  const std::size_t m = 5, d = 7;
+  Rng rng(17);
+  linalg::MatrixD centers(m, d);
+  for (auto& v : centers.storage()) v = rng.uniform(-3.0, 3.0);
+  std::vector<simd::Level> levels{simd::Level::kScalar};
+  for (const simd::Level l : {simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (simd::level_supported(l)) levels.push_back(l);
+  }
+  struct Reset {
+    ~Reset() {
+      exec::ThreadPool::instance().configure(0);
+      simd::clear_level_override();
+    }
+  } reset;
+  for (const std::size_t n : {1ul, 15ul, 16ul, 17ul, 257ul}) {
+    // 0: every weight nonzero. 1: point n/2 sits on center 2, so its
+    // block has zero weights. 2: point n-1 also has an infinite
+    // coordinate, which makes all its weights NaN; were one of them zero,
+    // the update would add 0 * inf = NaN where the loop skips it.
+    for (int variant = 0; variant < 3; ++variant) {
+      linalg::MatrixD pts(n, d);
+      for (auto& v : pts.storage()) v = rng.uniform(-4.0, 4.0);
+      if (variant >= 1) {
+        for (std::size_t c = 0; c < d; ++c) pts(n / 2, c) = centers(2, c);
+      }
+      if (variant == 2) pts(n - 1, 3) = std::numeric_limits<double>::infinity();
+      const auto want = cmeans_per_point_reference(pts, centers, fuzziness);
+      for (const simd::Level level : levels) {
+        simd::set_level(level);
+        for (const int threads : {1, 4}) {
+          exec::ThreadPool::instance().configure(threads);
+          std::vector<std::vector<double>> got;
+          cmeans_accumulate(pts, centers, fuzziness, 0, n, got);
+          ASSERT_EQ(got.size(), m);
+          for (std::size_t j = 0; j < m; ++j) {
+            ASSERT_EQ(got[j].size(), d + 2);
+            EXPECT_EQ(std::memcmp(got[j].data(), want[j].data(),
+                                  (d + 2) * sizeof(double)),
+                      0)
+                << "n=" << n << " variant=" << variant << " level="
+                << simd::level_name(level) << " threads=" << threads
+                << " cluster=" << j;
+          }
+        }
+      }
+    }
+  }
 }
 
 // -- K-means -----------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -423,7 +424,7 @@ apps::Corpus serial_corpus(Rng& rng, std::size_t lines,
   return corpus;
 }
 
-bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+bool same_bytes(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
