@@ -8,9 +8,9 @@
 //             stage runner's, pinned per case below (the determinism
 //             anchor, printed as a check);
 //   depth N — per-block D2H copies overlap remaining compute inside a
-//             stage, iterative apps pipeline whole iterations (windows
-//             share one graph), and the stencil runs its wavefront halo
-//             graph with no global barrier at all.
+//             stage (each iteration of an iterative app is one job),
+//             and the stencil runs its wavefront halo graph with no
+//             global barrier at all.
 //
 // GEMV/DGEMM run on the bigred2 testbed: its K20 has Hyper-Q (many
 // hardware queues), so per-block D2H on the dedicated copy stream truly
@@ -74,10 +74,9 @@ std::pair<double, std::string> run_case(svc::JobSpec spec, int depth) {
 std::vector<Case> cases() {
   std::vector<Case> cs;
   {
-    // Pipelined iterations + Hyper-Q D2H overlap: thirty clustering sweeps
-    // share one graph window, so per-iteration gather barriers leave the
-    // critical path, and each block's membership copy-back hides behind
-    // the kernels of blocks still in flight.
+    // Hyper-Q D2H overlap over thirty clustering sweeps: inside each
+    // sweep's job, each block's membership copy-back hides behind the
+    // kernels of blocks still in flight.
     svc::JobSpec s;
     s.app = "cmeans";
     s.testbed = "bigred2";

@@ -86,7 +86,8 @@ struct IterativeResult {
 /// `on_iteration(iter, result)` inspects the master's output, updates the
 /// application state captured by the spec's lambdas, and returns true to
 /// continue. `state_bytes` is the per-iteration broadcast size of that
-/// state (e.g. the cluster-centers matrix).
+/// state (e.g. the cluster-centers matrix). Every round is one run_job()
+/// at any `cfg.pipeline_depth`; the depth only shapes that job's graph.
 ///
 /// `checkpoint` + `codec` (both or neither) enable checkpoint/restart; see
 /// the header comment. With checkpointing off the run is byte-identical to
@@ -309,54 +310,12 @@ IterativeResult<K, V> run_iterative(
   // iteration 0 is recoverable too.
   if (checkpointing && !resumed) write_snapshot(start_iter, false);
 
-  // Pipelined iteration windows (pipeline_depth > 1): up to `depth`
-  // iterations run as one task graph, chained through per-iteration
-  // advance nodes. A faulted job runs in job attempts, one iteration at a
-  // time; dynamic blocks are cut only as their round runs, so they have no
-  // per-block copy-back to overlap; a learning policy needs its
-  // per-iteration observe() calls, and the multi-tenant stage gate must
-  // fire (and may cancel) at every iteration boundary — all of these clamp
-  // the window to one iteration, which is the plain run_job path below.
-  const bool windowed =
-      iter_cfg.pipeline_depth > 1 && iter_cfg.faults == nullptr &&
-      iter_cfg.presumed_dead.empty() &&
-      iter_cfg.policy->dispatch() == SchedulingMode::kStatic &&
-      !iter_cfg.policy->learns() && !cfg.stage_gate;
-
   int iter = start_iter;
   while (iter < max_iterations && !finished) {
     // Multi-tenant service gate: the job server interleaves concurrent
     // jobs at this boundary (and cancels cooperatively by throwing).
     if (cfg.stage_gate) cfg.stage_gate(iter);
 
-    int window = 1;
-    if (windowed) {
-      window = std::min(iter_cfg.pipeline_depth, max_iterations - iter);
-      if (checkpointing) {
-        // Snapshots are host-side cut points; windows never straddle one.
-        const int to_snapshot =
-            checkpoint->interval - out.iterations % checkpoint->interval;
-        window = std::min(window, to_snapshot);
-      }
-    }
-    if (window > 1) {
-      auto w = detail::run_job_window<K, V>(
-          cluster, spec, iter_cfg, n_items, iter_cfg.policy, iter, window,
-          max_iterations, state_bytes, on_iteration);
-      out.last.output = std::move(w.last.output);
-      out.last.stats = w.last.stats;
-      out.stats.accumulate(w.last.stats);
-      out.iterations += w.completed;
-      out.stats.iterations = out.iterations;
-      out.stats.job_attempts = 1 + extra_attempts;
-      iter += w.completed;
-      finished = w.finished;
-      if (checkpointing &&
-          (finished || out.iterations % checkpoint->interval == 0)) {
-        write_snapshot(iter, finished);
-      }
-      continue;
-    }
     iter_cfg.charge_job_startup = cfg.charge_job_startup && iter == 0;
 
     // Broadcast the evolving state (cluster centers etc.).

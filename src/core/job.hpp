@@ -86,17 +86,10 @@ struct JobConfig {
   /// Dynamic mode: items per block (0 = auto: partition / (4*(cores+1))).
   std::size_t dynamic_block_items = 0;
 
-  /// Overlap-percentage threshold for multi-stream GPU execution (Eq (9)).
-  double stream_overlap_threshold = 0.2;
-
   /// Charge network time for distributing input partitions. Table 3 /
   /// Figure 6 pre-stage input ("copied into CPU and GPU memories in
   /// advance"), so the default is off.
   bool time_input_distribution = false;
-
-  /// Charge the initial host->GPU staging of cached (loop-invariant) data.
-  /// §IV.B excludes it as one-off, amortized overhead.
-  bool time_initial_staging = false;
 
   /// Charge the one-time PRS job startup cost. The iterative driver sets
   /// this only on the first iteration.
@@ -132,15 +125,14 @@ struct JobConfig {
 
   /// Pipelining depth (DESIGN.md §4h). Above 1, each static-dispatch GPU
   /// block copies its intermediates back as soon as its kernel ends, and
-  /// run_iterative keeps up to `depth` iterations in flight, iteration
-  /// i+1's map on rank r starting once iteration i's reduce on r finished
-  /// (plus the state broadcast for apps that carry state). 1 = no
-  /// pipelining.
+  /// the stencil's halo graph lets row blocks run up to `depth` sweeps
+  /// ahead. run_iterative runs each iteration as one job at any depth.
+  /// 1 = the paper's bulk copy-back.
   int pipeline_depth = 1;
 
   /// When non-empty, each built job graph is written as Graphviz DOT to
   /// this path (deterministic node ordering) before it executes.
-  /// Iterative jobs overwrite the file per window; the final content is
+  /// Iterative jobs overwrite the file per iteration; the final content is
   /// the last graph built.
   std::string graph_dump_path;
 

@@ -62,13 +62,6 @@
 namespace prs::core {
 namespace detail {
 
-/// Tag stride between pipelined iterations so concurrent windows' shuffle /
-/// gather / broadcast collectives never collide (simnet's own collective
-/// phase stride is 1<<24; user tags stay well below it).
-inline constexpr int kGraphIterTagStride = 1024;
-
-inline constexpr int kStateBroadcastTag = 400;
-
 // The attempt policy of faulted jobs. A job gets kMaxJobAttempts attempts,
 // each in its own tag space (attempt x kAttemptTagStride); a map block gets
 // kMaxTaskAttempts, the retries kRetryBackoff apart, doubling. A device
@@ -206,15 +199,12 @@ struct GraphRankState {
   }
 };
 
-/// One job's worth of graph state; `rank_done` holds each rank's gather
-/// node so callers (the pipelined iteration window) can hang successor
-/// iterations off them.
+/// One job's worth of graph state.
 template <typename K, typename V>
 struct GraphJob {
   std::shared_ptr<JobState<K, V>> st;
   std::shared_ptr<FaultedAttempt> ft;  // faulted jobs only
   std::vector<std::unique_ptr<GraphRankState<K, V>>> ranks;
-  std::vector<graph::NodeId> rank_done;
 };
 
 /// A faulted exchange: one ledgered receive per rank in `from`; returns
@@ -683,19 +673,6 @@ sim::Process g_gather(GraphRankState<K, V>* rs,
   done.set_value(sim::Unit{});
 }
 
-/// Per-iteration state broadcast inside a pipelined window — the graph-node
-/// form of detail::broadcast_state, with a per-iteration tag.
-inline sim::Process g_state_broadcast(Cluster* cluster, int rank,
-                                      double state_bytes, int tag,
-                                      sim::Promise<sim::Unit> done) {
-  auto& comm = cluster->fabric().comm(rank);
-  simnet::Message mine =
-      rank == 0 ? simnet::Message{state_bytes, true} : simnet::Message{};
-  auto b = comm.broadcast(0, std::move(mine), tag);
-  (void)co_await b;
-  done.set_value(sim::Unit{});
-}
-
 // -- graph builder ------------------------------------------------------------
 
 /// Appends one partition's planned blocks to `rs.blocks`, CPU blocks
@@ -743,17 +720,11 @@ void plan_blocks(GraphRankState<K, V>& rs, const InputSlice& partition,
 
 /// Builds one whole job into `g`: the per-rank stage spine with one map
 /// round per partition, over every rank (or a faulted job's alive ranks).
-/// `after_per_rank` (when non-empty) gates each rank's start node on an
-/// upstream node — the hook the pipelined iteration window uses to chain
-/// iterations. `name_prefix` namespaces node names (e.g. "i3:") so
-/// windowed graphs stay readable.
 template <typename K, typename V>
 void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
                      Cluster& cluster, SchedulePolicy* policy,
                      std::shared_ptr<GraphFailBox> fail, bool overlap,
-                     int tag_base,
-                     const std::vector<graph::NodeId>& after_per_rank,
-                     const std::string& name_prefix) {
+                     int tag_base) {
   auto& sim = cluster.simulator();
   JobState<K, V>* st = job.st.get();
   obs::TraceRecorder* tr = sim.tracer();
@@ -764,7 +735,6 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
   std::vector<int> ranks;
   for (int r = 0; r < nodes; ++r) ranks.push_back(r);
   if (faulted) ranks = job.ft->alive;
-  job.rank_done.assign(static_cast<std::size_t>(nodes), graph::kNoNode);
 
   for (const int r : ranks) {
     const auto rk = static_cast<std::size_t>(r);
@@ -775,7 +745,7 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
     rs->ctx.policy = policy;
     rs->ctx.rank = r;
     rs->ranks = ranks;
-    rs->name = name_prefix + "n" + std::to_string(r) + ":";
+    rs->name = "n" + std::to_string(r) + ":";
     rs->fail = fail;
     rs->tag_base = tag_base;
     rs->ft = job.ft;
@@ -818,7 +788,6 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
           (void)s;
           return g_startup<K, V>(rs, std::move(done));
         });
-    if (!after_per_rank.empty()) g.depend(start, after_per_rank[rk]);
 
     // Partition rounds chain serially (the daemon thread dispatches one
     // partition's blocks before moving to the next), but a static
@@ -945,7 +914,6 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
           return g_gather<K, V>(rs, std::move(done));
         });
     g.depend(gather, reduce);
-    job.rank_done[rk] = gather;
   }
 }
 
@@ -1052,7 +1020,7 @@ JobResult<K, V> run_job_graph(Cluster& cluster,
     auto fail = std::make_shared<GraphFailBox>();
     build_job_graph(g, job, cluster, policy, fail,
                     cfg.pipeline_depth > 1 && inj == nullptr,
-                    attempt * kAttemptTagStride, {}, "");
+                    attempt * kAttemptTagStride);
     if (!cfg.graph_dump_path.empty()) {
       write_graph_dot(g, cfg.graph_dump_path);
     }
@@ -1116,149 +1084,6 @@ JobResult<K, V> run_job_graph(Cluster& cluster,
   }
   cluster.set_fault_hooks(nullptr, nullptr);
   return result;
-}
-
-// -- pipelined iteration window -----------------------------------------------
-
-/// Shared convergence state of one pipelined window (written by the
-/// per-iteration advance host nodes, in iteration order).
-template <typename K, typename V>
-struct GraphWindow {
-  bool finished = false;   // on_iteration said stop (or max reached)
-  int completed = 0;       // counted iterations (overrun excluded)
-  std::map<K, V> last_output;  // master output of the last counted one
-};
-
-/// Result of one window: the last counted iteration's output, window-total
-/// stats (one counter diff over the whole window — overrun work included,
-/// since those cycles really were spent), and how far the run advanced.
-template <typename K, typename V>
-struct WindowResult {
-  JobResult<K, V> last;
-  int completed = 0;
-  bool finished = false;
-};
-
-/// Runs `window` iterations of an iterative job as ONE task graph
-/// (JobConfig::pipeline_depth > 1): iteration j+1's per-rank spine hangs
-/// off iteration j's advance node — the host node that applies
-/// `on_iteration` to the master's gathered output. Iterative state updates
-/// are globally synchronized (broadcast from the master), so the
-/// cross-iteration edges keep the numeric trajectory byte-identical to
-/// depth 1; the throughput win comes from the per-block D2H overlap inside
-/// each iteration and from dispatching iteration j+1's startup without
-/// returning to the host driver.
-///
-/// No node is ever cancelled mid-window: a converged run lets the
-/// already-built successor iterations drain (their collectives are wired
-/// into the graph; cancelling one rank's node would deadlock its peers)
-/// and simply ignores their updates — the overrun is bounded by the window
-/// size and visible in the stats.
-template <typename K, typename V>
-WindowResult<K, V> run_job_window(
-    Cluster& cluster, const MapReduceSpec<K, V>& spec, const JobConfig& cfg,
-    std::size_t n_items, SchedulePolicy* policy, int first_iter, int window,
-    int max_iterations, double state_bytes,
-    const std::function<bool(int, const std::map<K, V>&)>& on_iteration) {
-  PRS_REQUIRE(window >= 1, "window needs at least one iteration");
-  auto& sim = cluster.simulator();
-  const int nodes = cluster.size();
-  graph::TaskGraph g(spec.name + ":window@" + std::to_string(first_iter));
-  auto fail = std::make_shared<GraphFailBox>();
-  auto win = std::make_shared<GraphWindow<K, V>>();
-  std::vector<GraphJob<K, V>> jobs;
-  jobs.reserve(static_cast<std::size_t>(window));
-
-  graph::NodeId prev_advance = graph::kNoNode;
-  for (int j = 0; j < window; ++j) {
-    const int it = first_iter + j;
-    std::string prefix = "i";
-    prefix += std::to_string(it);
-    prefix += ':';
-    const int tag_base = j * kGraphIterTagStride;
-    jobs.emplace_back();
-    GraphJob<K, V>& job = jobs.back();
-    job.st = make_job_state(cluster, spec, cfg, n_items, policy);
-    job.st->cfg.charge_job_startup = cfg.charge_job_startup && it == 0;
-
-    // The evolving state reaches the workers before their maps run: each
-    // rank's spine hangs off its broadcast node (or directly off the
-    // previous advance when there is nothing to broadcast).
-    std::vector<graph::NodeId> after;
-    if (state_bytes > 0.0 && nodes > 1) {
-      after.resize(static_cast<std::size_t>(nodes), graph::kNoNode);
-      for (int r = 0; r < nodes; ++r) {
-        const int tag = kStateBroadcastTag + tag_base;
-        const graph::NodeId bc = g.add_work(
-            prefix + "n" + std::to_string(r) + ":state-bcast", "net", r,
-            [cl = &cluster, r, state_bytes, tag](
-                sim::Simulator& s, sim::Promise<sim::Unit> done) {
-              (void)s;
-              return g_state_broadcast(cl, r, state_bytes, tag,
-                                       std::move(done));
-            });
-        g.depend(bc, prev_advance);
-        after[static_cast<std::size_t>(r)] = bc;
-      }
-    } else if (prev_advance != graph::kNoNode) {
-      after.assign(static_cast<std::size_t>(nodes), prev_advance);
-    }
-    build_job_graph(g, job, cluster, policy, fail, /*overlap=*/true,
-                    tag_base, after, prefix);
-
-    const graph::NodeId advance = g.add_host(
-        prefix + "advance", "host", 0,
-        [win, st = job.st, on_iteration, it, max_iterations] {
-          if (win->finished) return;  // overrun: update ignored
-          win->last_output = std::move(st->final_output);
-          ++win->completed;
-          const bool cont = on_iteration(it, win->last_output);
-          win->finished = !cont || it + 1 >= max_iterations;
-        });
-    for (const graph::NodeId d : job.rank_done) g.depend(advance, d);
-    prev_advance = advance;
-  }
-  if (!cfg.graph_dump_path.empty()) {
-    write_graph_dot(g, cfg.graph_dump_path);
-  }
-
-  const double t0 = sim.now();
-  const ClusterCounters counters0 = snapshot_counters(cluster);
-  graph::GraphExecutor exec(sim, g);
-  fail->exec = &exec;
-  run_graph(sim, exec);
-  PRS_CHECK(exec.done(), "iteration window drained with unfinished nodes");
-  for (const auto& job : jobs) {
-    PRS_CHECK(job.st->nodes_done == nodes,
-              "window iteration finished with missing nodes");
-  }
-  PRS_CHECK(win->completed >= 1, "window completed no iterations");
-
-  WindowResult<K, V> out;
-  out.completed = win->completed;
-  out.finished = win->finished;
-  out.last.output = std::move(win->last_output);
-  // One counter diff covers the window; the per-iteration JobState fields
-  // (task counts, phase times) are summed across every iteration that ran.
-  JobStats ws = collect_stats(cluster, counters0, *jobs.back().st,
-                              sim.now() - t0);
-  for (std::size_t j = 0; j + 1 < jobs.size(); ++j) {
-    const JobState<K, V>& st = *jobs[j].st;
-    ws.map_tasks += st.map_tasks;
-    ws.reduce_tasks += st.reduce_tasks;
-    ws.intermediate_pairs += st.intermediate_pairs;
-    ws.startup_time += st.startup_time;
-    ws.map_time += st.map_time;
-    ws.shuffle_time += st.shuffle_time;
-    ws.reduce_time += st.reduce_time;
-    ws.gather_time += st.gather_time;
-  }
-  ws.iterations = win->completed;
-  out.last.stats = ws;
-  policy->observe(collect_feedback(cluster, counters0,
-                                   jobs.back().st->cpu_fraction, ws.elapsed));
-  record_job_metrics(sim, *jobs.back().st, ws.elapsed);
-  return out;
 }
 
 }  // namespace detail

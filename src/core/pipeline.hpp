@@ -45,6 +45,7 @@ namespace detail {
 inline constexpr int kShuffleTag = 100;
 inline constexpr int kGatherTag = 200;
 inline constexpr int kDistributeTag = 300;
+inline constexpr int kStateBroadcastTag = 400;
 
 /// Type-erased scheduling view of a spec (the policy layer is not
 /// templated on key/value types). The returned shape borrows `spec`.
@@ -222,8 +223,7 @@ struct JobState {
 
   // Map payloads waiting for their first needed result. Per job, not per
   // simulator or cluster: handles live exactly as long as the emitters
-  // they fill, and a flush runs only this job's payloads, never those of
-  // another iteration sharing the simulator (pipelined windows).
+  // they fill, and a flush runs only this job's payloads.
   PendingMaps<K, V> pending_maps;
 
   // Outputs / accounting (single-threaded simulator: no locking needed).
@@ -243,23 +243,20 @@ struct JobState {
 
 /// Builds the JobState (level-1/level-2 scheduling decisions): each
 /// node's Eq (8) split and stream count, and the capability-weighted
-/// partitions. `alive` (ascending ranks; empty means every rank) limits
-/// the decisions to those ranks; the others keep capability 0, so the
-/// Partitioner gives them nothing (a faulted job's blacklist).
+/// partitions. `alive` (ascending ranks) limits the decisions to those
+/// ranks; the others keep capability 0, so the Partitioner gives them
+/// nothing (a faulted job's blacklist).
 template <typename K, typename V>
 std::shared_ptr<JobState<K, V>> make_job_state(
     Cluster& cluster, const MapReduceSpec<K, V>& spec, const JobConfig& cfg,
     std::size_t n_items, SchedulePolicy* policy,
-    std::vector<int> alive = {}) {
+    const std::vector<int>& alive) {
   auto st = std::make_shared<JobState<K, V>>();
   st->spec = &spec;
   st->pending_maps = PendingMaps<K, V>(&spec);
   st->cfg = cfg;
   st->n_items = n_items;
   const auto nodes = static_cast<std::size_t>(cluster.size());
-  if (alive.empty()) {
-    for (int r = 0; r < cluster.size(); ++r) alive.push_back(r);
-  }
   const JobShape shape = job_shape(spec);
   st->cpu_fraction.resize(nodes, 0.0);
   st->gpu_streams.resize(nodes, 1);

@@ -102,12 +102,6 @@ class SchedulePolicy {
   /// Post-job feedback; default no-op (stateless policies).
   virtual void observe(const JobFeedback& feedback);
 
-  /// True when observe() changes later decisions. Learning policies need
-  /// per-iteration feedback, so the pipelined iteration window (which can
-  /// only fold feedback in at window boundaries) clamps to one iteration
-  /// for them — their split trajectory stays byte-identical to depth 1.
-  virtual bool learns() const { return false; }
-
   /// Serialize / restore learned state for checkpoint snapshots. Stateless
   /// policies write nothing (default). restore_state() must accept a blob
   /// written by save_state() of the same policy class; the snapshot layer
@@ -152,7 +146,6 @@ class AdaptiveFeedbackPolicy final : public SchedulePolicy {
 
   std::string name() const override { return "adaptive"; }
   SchedulingMode dispatch() const override { return SchedulingMode::kStatic; }
-  bool learns() const override { return true; }
   NodeDecision node_decision(Cluster& cluster, const JobShape& shape,
                              const JobConfig& cfg, int rank) override;
   void observe(const JobFeedback& feedback) override;

@@ -16,7 +16,7 @@
 // the error, and no later sibling is dispatched after it.
 //
 // Cancellation: cancel_pending() is also exposed directly for early exit
-// (e.g. a convergence check in a pipelined iteration window).
+// (e.g. the stencil halo graph's convergence check).
 //
 // Observability: with a tracer attached, every node records a
 // "graph.<kind>" span on track (node<rank>, "graph"), and the registry

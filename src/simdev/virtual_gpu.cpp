@@ -92,13 +92,13 @@ void VirtualGpuPool::release(VGpuLease& lease) {
   --active_leases_;
 }
 
-DeviceSpec VirtualGpuPool::vgpu_spec(const VGpuLease& lease) const {
-  DeviceSpec spec = cfg_.card_spec;
+DeviceSpec VirtualGpuPool::vgpu_spec(const VGpuLease& lease,
+                                     DeviceSpec card) const {
   if (lease.memory_quota() > 0) {
-    spec.memory_bytes = std::min(spec.memory_bytes, lease.memory_quota());
+    card.memory_bytes = std::min(card.memory_bytes, lease.memory_quota());
   }
-  spec.name = "vGPU(" + spec.name + ")";
-  return spec;
+  card.name = "vGPU(" + card.name + ")";
+  return card;
 }
 
 void VirtualGpuPool::report_usage(const VGpuLease& lease,

@@ -43,9 +43,6 @@ struct VGpuPoolConfig {
   int cards = 1;
   /// vGPU slots per physical card (1 = no oversubscription).
   int slots_per_card = 1;
-  /// Spec of every physical card (homogeneous pool, like the paper's
-  /// testbeds).
-  DeviceSpec card_spec = delta_c2070();
 };
 
 /// RAII lease of `size()` vGPU slots. Move-only; releasing (or destroying)
@@ -108,9 +105,9 @@ class VirtualGpuPool {
   VGpuLease acquire(const std::string& owner, int count,
                     std::uint64_t memory_quota = 0);
 
-  /// DeviceSpec a leased vGPU presents to its job: the physical card with
-  /// memory capped to the lease quota.
-  DeviceSpec vgpu_spec(const VGpuLease& lease) const;
+  /// DeviceSpec a leased vGPU presents to its job: the job's own `card`
+  /// with memory capped to the lease quota.
+  DeviceSpec vgpu_spec(const VGpuLease& lease, DeviceSpec card) const;
 
   /// Reports the lease's current footprint on its physical cards (live
   /// streams and allocated device bytes across the job's simulated cards).

@@ -33,7 +33,7 @@ struct JobSpec {
   bool cpu_only = false;
   double cpu_fraction = -1.0;
   std::uint64_t seed = 42;
-  int pipeline_depth = 1;        // iterations in flight (static policies)
+  int pipeline_depth = 1;        // pipelining depth (static policies)
 
   // Fault injection / checkpointing ride unchanged under the service.
   std::string fault_spec;

@@ -729,7 +729,7 @@ void JobServer::run_one_job(Job* job) {
   core::NodeConfig node = spec.node_config();
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (job->lease.valid()) node.gpu = pool_.vgpu_spec(job->lease);
+    if (job->lease.valid()) node.gpu = pool_.vgpu_spec(job->lease, node.gpu);
   }
   core::Cluster cluster(sim, spec.nodes, node);
   core::JobConfig cfg = spec.job_config();

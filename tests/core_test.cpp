@@ -615,10 +615,10 @@ TEST(Iterative, StartupChargedOnlyOnFirstIteration) {
 }
 
 TEST(Iterative, PipelinedWindowRunsNextPayloadsOnlyAfterTheAdvance) {
-  // At pipeline depth 2 (static policy) two iterations share
-  // one task graph, chained through iteration j's advance node, which runs
-  // on_iteration. Iteration j+1's payloads read the state it updates, so
-  // none may run earlier — even with four host threads running batches.
+  // At pipeline depth 2 (static policy) iteration j's on_iteration advances
+  // the state between two jobs. Iteration j+1's payloads read the state it
+  // updates, so none may run earlier — even with four host threads running
+  // batches.
   ScopedPoolSize pool(4);
   sim::Simulator simu;
   Cluster cluster(simu, 2, NodeConfig{});
@@ -647,6 +647,29 @@ TEST(Iterative, PipelinedWindowRunsNextPayloadsOnlyAfterTheAdvance) {
       /*state_bytes=*/1024.0);
   EXPECT_EQ(res.iterations, 6);
   EXPECT_EQ(seen, 6);
+}
+
+TEST(Iterative, EarlyStopChargesTheDepthOneIterationsAtAnyDepth) {
+  // Every iteration is one job at any depth, so a run that stops after
+  // iteration 2 of 12 is charged for exactly three iterations' map tasks,
+  // as at depth 1.
+  const auto run = [](int depth) {
+    sim::Simulator simu;
+    Cluster cluster(simu, 2, NodeConfig{});
+    JobConfig cfg;
+    cfg.pipeline_depth = depth;
+    return run_iterative<int, long>(
+        cluster, toy_spec(500.0, /*cached=*/true), cfg, 4000, 12,
+        [](int iter, const std::map<int, long>&) { return iter < 2; },
+        /*state_bytes=*/1024.0);
+  };
+  const auto d1 = run(1);
+  const auto d4 = run(4);
+  EXPECT_EQ(d1.iterations, 3);
+  EXPECT_EQ(d4.iterations, d1.iterations);
+  EXPECT_EQ(d4.stats.iterations, d1.stats.iterations);
+  EXPECT_EQ(d4.stats.map_tasks, d1.stats.map_tasks);
+  EXPECT_EQ(d4.last.output, expected_counts(4000));
 }
 
 // -- node-local combine and reduce merge ---------------------------------------

@@ -2,7 +2,7 @@
 // level-2 policy, the job graph reproduces the result digest and virtual
 // time of the stage runner it replaced (pinned below, captured from that
 // runner at pipeline depth 1). At depths 2/4, where per-block D2H overlap
-// and pipelined iteration windows change the *timing*, functional results
+// and the stencil's halo graph change the *timing*, functional results
 // may not change a single byte; and no host-pool thread count may leak
 // into a digest or a virtual time.
 //

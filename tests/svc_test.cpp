@@ -95,12 +95,13 @@ TEST(VGpuPool, UsageAccountingClearsOnRelease) {
 
 TEST(VGpuPool, MemoryQuotaShapesTheDeviceSpec) {
   simdev::VirtualGpuPool pool(pool_cfg(1, 2));
-  const std::uint64_t physical = pool.config().card_spec.memory_bytes;
+  // The job's own card: a bigred2 job's vGPU is a K20.
+  const simdev::DeviceSpec card = simdev::bigred2_k20();
   auto capped = pool.acquire("a", 1, 4096);
-  EXPECT_EQ(pool.vgpu_spec(capped).memory_bytes, 4096u);
+  EXPECT_EQ(pool.vgpu_spec(capped, card).memory_bytes, 4096u);
   auto full = pool.acquire("b", 1, 0);
-  EXPECT_EQ(pool.vgpu_spec(full).memory_bytes, physical);
-  EXPECT_NE(pool.vgpu_spec(full).name, pool.config().card_spec.name)
+  EXPECT_EQ(pool.vgpu_spec(full, card).memory_bytes, card.memory_bytes);
+  EXPECT_NE(pool.vgpu_spec(full, card).name, card.name)
       << "vGPU specs should be distinguishable from physical cards";
 }
 
@@ -342,21 +343,35 @@ TEST(JobServer, ModeledAndWordcountDigestsMatchToo) {
   modeled.clusters = 4;
   modeled.iterations = 4;
   modeled.functional = false;
+  // Its timing digest at depth 2, where every iteration is one job whether
+  // or not the server gates it.
+  JobSpec deep = modeled;
+  deep.pipeline_depth = 2;
   JobSpec wc;
   wc.app = "wordcount";
   wc.nodes = 2;
   wc.points = 800;
   wc.functional = true;
   wc.seed = 11;
+  // Its vGPUs present bigred2's K20, whose rate sets the CPU share p.
+  JobSpec bigred2 = small_cmeans(4);
+  bigred2.nodes = 2;
+  bigred2.testbed = "bigred2";
 
   JobServer server(server_cfg(2, 2));
   server.add_tenant("a", TenantQuota{});
-  auto r1 = server.submit("a", modeled);
-  auto r2 = server.submit("a", wc);
-  ASSERT_TRUE(r1.ok() && r2.ok());
+  std::vector<JobSpec> specs = {modeled, deep, wc, bigred2};
+  std::vector<int> ids;
+  for (const JobSpec& spec : specs) {
+    auto r = server.submit("a", spec);
+    ASSERT_TRUE(r.ok()) << r.decision.message;
+    ids.push_back(r.job_id);
+  }
   server.run_until_idle();
-  EXPECT_EQ(server.status(r1.job_id).digest, run_single_shot(modeled).digest);
-  EXPECT_EQ(server.status(r2.job_id).digest, run_single_shot(wc).digest);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(server.status(ids[i]).digest, run_single_shot(specs[i]).digest)
+        << "job " << i << " (" << specs[i].app << ")";
+  }
 }
 
 TEST(JobServer, FaultInjectedJobMatchesSingleShotDigest) {

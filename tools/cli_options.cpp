@@ -55,13 +55,13 @@ usage: prs_run [options]
                       | dynamic (block polling) | adaptive (analytic p
                       refined per iteration from observed busy times)
   --cpu-fraction=P    override the analytic CPU share p in [0,1]
-  --pipeline-depth=N  iterations in flight (default 1; static and
-                      adaptive policies): N>1 copies each GPU block back
-                      as its kernel ends and pipelines iterative apps —
-                      iteration i+1's map starts on partitions whose
-                      reduce finished; numeric results are byte-identical
+  --pipeline-depth=N  pipelining depth (default 1; static and adaptive
+                      policies): N>1 copies each GPU block back as its
+                      kernel ends, and the stencil runs row blocks up to
+                      N sweeps ahead; each iteration is one job, and
+                      numeric results are byte-identical
   --graph-dump=FILE   write the job's task graph as Graphviz DOT
-                      (iterative jobs overwrite FILE per window)
+                      (iterative jobs overwrite FILE per iteration)
   --functional        compute real results (default: modeled virtual time)
   --gpu-only          disable the CPU backend
   --cpu-only          disable the GPU backend

@@ -31,7 +31,7 @@ struct Options {
   bool cpu_only = false;
   double cpu_fraction = -1.0;
   std::uint64_t seed = 42;
-  int pipeline_depth = 1;    // iterations in flight (static policies)
+  int pipeline_depth = 1;    // pipelining depth (static policies)
   std::string graph_dump;    // --graph-dump=FILE: Graphviz DOT of the job
   int repeat = 1;            // run the job N times (counters reset between)
   int host_threads = 0;      // real host threads for map kernels; 0 = auto
