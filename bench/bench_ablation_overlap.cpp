@@ -20,9 +20,8 @@
 //
 // All cases ablate the flat per-job startup constant (kPrsJobStartup,
 // the 1.2 s Table 3 intercept: handshakes and daemon spin-up). It is the
-// same additive term at every depth — charging it would only bury the
-// overlap signal under a constant — and the halo graph never pays it, so
-// excluding it keeps the stencil comparison apples-to-apples too.
+// same additive term at every depth, the halo graph's included — charging
+// it would only bury the overlap signal under a constant.
 //
 // The final summary counts apps with a >= 10% virtual-time win; the
 // process exits nonzero when fewer than two clear that bar, so CI can run

@@ -78,7 +78,9 @@ StencilResult stencil_prs(core::Cluster& cluster,
 /// Convergence is checked by per-iteration retire nodes over the exact
 /// block-residual max; Jacobi is cell-deterministic, so grid and iteration
 /// count are byte-identical to stencil_serial / stencil_prs for any depth.
-/// Requires functional mode; faults and checkpointing take the stage path.
+/// Like any job it pays the startup constant once (cfg.charge_job_startup)
+/// and passes cfg.stage_gate before each window of sweeps. Requires
+/// functional mode; faults and checkpointing take the stage path.
 StencilResult stencil_graph(core::Cluster& cluster,
                             const linalg::MatrixD& initial,
                             const StencilParams& params,

@@ -21,6 +21,11 @@
 // without extra edges; retire(j - depth) bounds how far fast blocks run
 // ahead of the convergence check.
 //
+// The job pays the PRS startup constant (calib::kPrsJobStartup) once, as a
+// delay node the first sweep's blocks wait for, and it passes the job's
+// stage gate before each window of sweeps, where the job server
+// interleaves and cancels jobs.
+//
 // Convergence: retire(j) (a host node on the master) folds the iteration's
 // block residuals in block order. max() over doubles is exact, and Jacobi
 // writes every cell from the previous grid only, so grid bytes, residual
@@ -38,6 +43,7 @@
 
 #include "apps/stencil.hpp"
 #include "common/error.hpp"
+#include "core/calibration.hpp"
 #include "core/job_graph.hpp"
 #include "core/partitioner.hpp"
 #include "core/pipeline.hpp"
@@ -109,6 +115,13 @@ sim::Process hg_gpu_block(core::Cluster* cluster, int rank, int card,
     auto df = s.memcpy_d2h(d2h_bytes);
     co_await df;
   }
+  done.set_value(sim::Unit{});
+}
+
+/// The job's startup charge; the first sweep's blocks wait for it.
+sim::Process hg_startup(sim::Simulator* sim, sim::Promise<sim::Unit> done) {
+  auto d = sim::delay(*sim, core::calib::kPrsJobStartup);
+  co_await d;
   done.set_value(sim::Unit{});
 }
 
@@ -226,10 +239,21 @@ StencilResult stencil_graph(core::Cluster& cluster,
   std::vector<std::vector<double>> residuals;
   int j0 = 0;
   while (!box->finished && j0 < params.max_iterations) {
+    // Multi-tenant service gate: the job server interleaves concurrent
+    // jobs at this boundary (and cancels cooperatively by throwing).
+    if (cfg.stage_gate) cfg.stage_gate(j0);
     const int window = std::min(kChunk, params.max_iterations - j0);
     residuals.assign(static_cast<std::size_t>(window),
                      std::vector<double>(B, 0.0));
     graph::TaskGraph g("stencil:halo@" + std::to_string(j0));
+    graph::NodeId startup = graph::kNoNode;
+    if (j0 == 0 && cfg.charge_job_startup) {
+      startup = g.add_work(
+          "startup", "delay", 0,
+          [](sim::Simulator& s, sim::Promise<sim::Unit> done) {
+            return hg_startup(&s, std::move(done));
+          });
+    }
     // node ids of the previous iteration's blocks / this window's retires
     std::vector<graph::NodeId> prev(B, graph::kNoNode);
     std::vector<graph::NodeId> retires;
@@ -307,6 +331,8 @@ StencilResult stencil_graph(core::Cluster& cluster,
             g.depend(n, prev[b + 1]);
           }
           for (const graph::NodeId rv : prev_recv[b]) g.depend(n, rv);
+        } else if (startup != graph::kNoNode) {
+          g.depend(n, startup);
         }
         // Buffer window: never run more than `depth` sweeps ahead of the
         // convergence check.
@@ -383,19 +409,7 @@ StencilResult stencil_graph(core::Cluster& cluster,
     graph::GraphExecutor exec(sim, g);
     fail->exec = &exec;
     box->exec = &exec;
-    exec.start();
-    try {
-      sim.run();
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception& e) {
-      if (exec.failed()) {
-        throw Error("task graph node '" + exec.failure_site() +
-                    "' failed: " + e.what());
-      }
-      throw;
-    }
-    exec.rethrow_if_failed();
+    core::detail::run_graph(sim, exec);
     box->exec = nullptr;
     fail->exec = nullptr;
     j0 += window;
@@ -420,6 +434,7 @@ StencilResult stencil_graph(core::Cluster& cluster,
     s.map_tasks = static_cast<std::uint64_t>(B) *
                   static_cast<std::uint64_t>(box->iterations);
     s.iterations = box->iterations;
+    s.startup_time = cfg.charge_job_startup ? core::calib::kPrsJobStartup : 0.0;
     *stats_out = s;
   }
   return res;

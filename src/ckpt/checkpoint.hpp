@@ -66,30 +66,23 @@ struct StateCodec {
   std::function<void(Reader&)> decode;
 };
 
-/// What run_iterative should do when the fault-tolerant layer reports a node
-/// crash (blacklisted node) during an iteration.
-enum class OnCrash {
-  kHalt,     // discard the iteration, keep checkpoints, throw prs::Error;
-             // a fresh process resumes with recover=true (byte-identical
-             // to the fault-free run — same cluster shape on restart)
-  kRecover,  // same-process recovery: restore the latest snapshot and
-             // continue on the surviving nodes (not byte-identical — the
-             // survivor re-split changes block boundaries)
-};
+/// Snapshots retained per prefix.
+inline constexpr int kSnapshotsKept = 2;
 
-/// Checkpoint policy for core::run_iterative.
+/// Virtual-clock cost model for snapshot IO (write and restore), charged to
+/// the driver: latency + bytes / bandwidth.
+inline constexpr double kSnapshotBandwidth = 1.5e9;  // bytes per virtual s
+inline constexpr double kSnapshotLatency = 200e-6;   // virtual s per op
+
+/// Checkpoint policy for core::run_iterative. A node crash during an
+/// iteration discards that iteration and halts the run with prs::Error,
+/// keeping the snapshots: a fresh process resumes with recover=true, which
+/// is byte-identical to the fault-free run (same cluster shape on restart).
 struct CheckpointConfig {
   CheckpointStore* store = nullptr;  // required; not owned
   int interval = 1;                  // snapshot every N completed iterations
   bool recover = true;               // resume from latest snapshot at start
-  OnCrash on_crash = OnCrash::kHalt;
   std::string prefix = "ckpt";       // key namespace inside the store
-  int keep = 2;                      // snapshots retained per prefix
-
-  // Virtual-clock cost model for snapshot IO (write and restore), charged
-  // to the driver: latency + bytes / bandwidth.
-  double write_bandwidth = 1.5e9;    // bytes per virtual second
-  double write_latency = 200e-6;     // virtual seconds per operation
 
   // Seeds recorded in every snapshot and verified on restore: resuming a
   // run under different seeds would silently diverge from the original

@@ -18,11 +18,9 @@
 // JobStats, schedule-policy state, seeds} into the configured store every
 // `interval` completed iterations (plus once before the first iteration and
 // once at the end), charging the snapshot bytes to the virtual clock. On a
-// node crash reported by the fault-tolerant layer it either halts (keeping
-// the checkpoints for a fresh process to --resume from, which replays the
-// exact fault-free trajectory and is therefore byte-identical) or recovers
-// in place over the surviving nodes (re-split; not byte-identical by
-// design — FP combine order follows the block boundaries).
+// node crash reported by the fault-tolerant layer it halts, keeping the
+// checkpoints for a fresh process to --resume from, which replays the exact
+// fault-free trajectory and is therefore byte-identical.
 #pragma once
 
 #include <functional>
@@ -109,8 +107,6 @@ IterativeResult<K, V> run_iterative(
                 "checkpointing needs a StateCodec with encode and decode");
     PRS_REQUIRE(checkpoint->interval >= 1,
                 "checkpoint interval must be >= 1");
-    PRS_REQUIRE(checkpoint->write_bandwidth > 0.0,
-                "checkpoint write bandwidth must be positive");
   }
   auto& sim = cluster.simulator();
   obs::TraceRecorder* tr = sim.tracer();
@@ -120,8 +116,9 @@ IterativeResult<K, V> run_iterative(
   // One-off staging of the loop-invariant data into GPU memory. The data
   // stays allocated for the whole iterative run, so it must actually fit
   // (a C2070 has 6 GB, Table 4) — allocation failures surface here rather
-  // than as mysterious mid-job errors. `dead` masks crashed nodes during
-  // in-place recovery re-staging; the initial pass stages every node.
+  // than as mysterious mid-job errors. `dead` masks crashed nodes when the
+  // data is re-staged over the survivors; the initial pass stages every
+  // node.
   std::vector<simdev::DeviceAllocation> cached_allocations;
   auto stage_cached = [&](const std::vector<char>& dead, bool allocate) {
     if (!spec.gpu_data_cached || !cfg.use_gpu) return;
@@ -183,17 +180,19 @@ IterativeResult<K, V> run_iterative(
 
   // Checkpoint bookkeeping. out.stats holds normalized totals for the
   // `out.iterations` distinct iterations completed so far: `iterations`
-  // counts each distinct iteration exactly once (replayed work after a
-  // recovery is NOT double-counted), `job_attempts` is 1 + retries beyond
-  // one run_job per iteration, and `elapsed` is maintained across process
-  // restarts via the snapshot.
+  // counts each distinct iteration exactly once, `job_attempts` is 1 +
+  // retries beyond one run_job per iteration, and `elapsed` is maintained
+  // across process restarts via the snapshot.
   double restored_elapsed = 0.0;  // elapsed accumulated by prior processes
   int extra_attempts = 0;
-  int recoveries = 0;
   int start_iter = 0;
   bool finished = false;
 
-  auto charge_io = [&](double seconds) {
+  // Snapshot IO of `bytes` (write or restore) on the virtual clock.
+  auto charge_io = [&](std::size_t bytes) {
+    const double seconds = ckpt::kSnapshotLatency +
+                           static_cast<double>(bytes) /
+                               ckpt::kSnapshotBandwidth;
     auto remaining = std::make_shared<int>(1);
     sim.spawn(detail::ckpt_io_cost(sim, seconds, remaining));
     sim.run();
@@ -225,12 +224,11 @@ IterativeResult<K, V> run_iterative(
     snap.stats.job_attempts = 1 + extra_attempts;
     const std::string blob = ckpt::encode_snapshot(snap);
     const double t0 = sim.now();
-    charge_io(checkpoint->write_latency +
-              static_cast<double>(blob.size()) / checkpoint->write_bandwidth);
+    charge_io(blob.size());
     checkpoint->store->put(
         ckpt::snapshot_key(checkpoint->prefix, next_iteration), blob);
     ckpt::prune_snapshots(*checkpoint->store, checkpoint->prefix,
-                          checkpoint->keep);
+                          ckpt::kSnapshotsKept);
     if (tr != nullptr) {
       tr->complete(tr->track("ckpt", "driver"), "ckpt.write", "ckpt", t0,
                    sim.now(),
@@ -245,10 +243,9 @@ IterativeResult<K, V> run_iterative(
     }
   };
 
-  // Restores a snapshot into the driver state. `fresh` marks a restart in a
-  // new process (elapsed continues from the snapshot); in-place recovery
-  // keeps the wall clock running across the wasted crash round instead.
-  auto restore_snapshot = [&](const ckpt::Snapshot& snap, bool fresh) {
+  // Restores a snapshot into the driver state; elapsed continues from the
+  // snapshot's.
+  auto restore_snapshot = [&](const ckpt::Snapshot& snap) {
     PRS_REQUIRE(snap.app == codec->tag,
                 "checkpoint belongs to app '" + snap.app +
                     "', cannot resume '" + codec->tag + "'");
@@ -270,10 +267,7 @@ IterativeResult<K, V> run_iterative(
     out.stats = snap.stats;
     out.iterations = snap.iterations_done;
     extra_attempts = snap.stats.job_attempts - 1;
-    if (fresh) {
-      restored_elapsed = snap.stats.elapsed;
-      iter_t0 = sim.now();
-    }
+    restored_elapsed = snap.stats.elapsed;
   };
 
   // Fresh-process resume: pick up the newest snapshot before running
@@ -287,11 +281,9 @@ IterativeResult<K, V> run_iterative(
       PRS_CHECK(checkpoint->store->get(key, &blob),
                 "latest snapshot key vanished from the store");
       const double t0 = sim.now();
-      charge_io(checkpoint->write_latency +
-                static_cast<double>(blob.size()) /
-                    checkpoint->write_bandwidth);
+      charge_io(blob.size());
       const ckpt::Snapshot snap = ckpt::decode_snapshot(blob);
-      restore_snapshot(snap, /*fresh=*/true);
+      restore_snapshot(snap);
       iter_t0 = t0;  // the restore IO charged above counts toward elapsed
       start_iter = snap.next_iteration;
       finished = snap.finished;
@@ -332,56 +324,19 @@ IterativeResult<K, V> run_iterative(
     out.last = run_job(cluster, spec, iter_cfg, n_items);
 
     // A blacklisted node this round means the faulted job saw a node
-    // failure. With checkpointing on, the iteration's output is
-    // discarded (its FP state was produced by a survivor re-split) and the
-    // run either halts for a fresh --resume or recovers in place. Without
-    // it the output stands, and the later iterations start without the
-    // crashed nodes.
+    // failure. With checkpointing on, the iteration's output is discarded
+    // (its FP state was produced by a survivor re-split) and the run halts
+    // for a fresh --resume. Without it the output stands, and the later
+    // iterations start without the crashed nodes.
     const bool node_failed =
         iter_cfg.faults != nullptr && out.last.stats.blacklisted_nodes > 0;
     if (checkpointing && node_failed) {
-      if (checkpoint->on_crash == ckpt::OnCrash::kHalt) {
-        const std::string key = ckpt::latest_snapshot_key(
-            *checkpoint->store, checkpoint->prefix);
-        throw Error("node crash during iteration " + std::to_string(iter) +
-                    "; state up to the latest checkpoint '" + key +
-                    "' is preserved in " + checkpoint->store->name() +
-                    " — rerun with recovery enabled to resume");
-      }
-      // In-place recovery: keep the cost of the wasted round on the books,
-      // rewind to the latest snapshot, and exclude the crashed nodes.
-      PRS_CHECK(++recoveries < cluster.size(),
-                "crash recovery loop did not converge");
-      const JobStats lost = out.last.stats;
-      const std::string key = ckpt::latest_snapshot_key(
-          *checkpoint->store, checkpoint->prefix);
-      PRS_CHECK(!key.empty(), "node crash with no checkpoint to restore");
-      std::string blob;
-      PRS_CHECK(checkpoint->store->get(key, &blob),
-                "latest snapshot key vanished from the store");
-      const double t0 = sim.now();
-      charge_io(checkpoint->write_latency +
-                static_cast<double>(blob.size()) /
-                    checkpoint->write_bandwidth);
-      const ckpt::Snapshot snap = ckpt::decode_snapshot(blob);
-      restore_snapshot(snap, /*fresh=*/false);
-      // Wasted work stays visible in the totals; iterations does not move.
-      extra_attempts += lost.job_attempts;
-      out.stats.accumulate(lost);
-      out.stats.iterations = out.iterations;
-      out.stats.job_attempts = 1 + extra_attempts;
-      exclude_crashed();
-      if (tr != nullptr) {
-        tr->complete(tr->track("ckpt", "driver"), "ckpt.restore", "ckpt", t0,
-                     sim.now(),
-                     {obs::arg("next_iteration",
-                               static_cast<std::uint64_t>(static_cast<unsigned>(
-                                   snap.next_iteration)))});
-        tr->metrics().counter("ckpt.restores").add(1.0);
-        tr->metrics().counter("ckpt.recoveries").add(1.0);
-      }
-      iter = snap.next_iteration;
-      continue;
+      const std::string key = ckpt::latest_snapshot_key(*checkpoint->store,
+                                                        checkpoint->prefix);
+      throw Error("node crash during iteration " + std::to_string(iter) +
+                  "; state up to the latest checkpoint '" + key +
+                  "' is preserved in " + checkpoint->store->name() +
+                  " — rerun with recovery enabled to resume");
     }
 
     out.stats.accumulate(out.last.stats);

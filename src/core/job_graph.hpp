@@ -745,7 +745,11 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
     rs->ctx.policy = policy;
     rs->ctx.rank = r;
     rs->ranks = ranks;
-    rs->name = "n" + std::to_string(r) + ":";
+    // Appended piecewise: "n" + std::to_string(r) trips GCC 12's
+    // -Wrestrict false positive in operator+(const char*, string&&).
+    rs->name = "n";
+    rs->name += std::to_string(r);
+    rs->name += ':';
     rs->fail = fail;
     rs->tag_base = tag_base;
     rs->ft = job.ft;

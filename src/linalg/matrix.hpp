@@ -90,7 +90,6 @@ class Matrix {
   Storage data_;
 };
 
-using MatrixF = Matrix<float>;
 using MatrixD = Matrix<double>;
 
 }  // namespace prs::linalg

@@ -42,9 +42,4 @@ double RooflineModel::process_time(double ai, double bytes) const {
   return bytes * ai / attainable_flops(ai);
 }
 
-double RooflineModel::process_time_staged(double ai, double bytes) const {
-  PRS_REQUIRE(bytes >= 0.0, "bytes must be non-negative");
-  return bytes * ai / attainable_flops_staged(ai);
-}
-
 }  // namespace prs::roofline

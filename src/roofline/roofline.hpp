@@ -41,9 +41,6 @@ class RooflineModel {
   /// (resident data): bytes * ai / attainable_flops(ai).
   double process_time(double ai, double bytes) const;
 
-  /// Same with PCI-E staging.
-  double process_time_staged(double ai, double bytes) const;
-
  private:
   simdev::DeviceSpec spec_;
 };

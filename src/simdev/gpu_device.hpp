@@ -145,7 +145,6 @@ class GpuDevice {
   // Utilization counters for profiling-based workload splits (Table 5).
   double compute_busy_time() const { return compute_busy_; }
   double flops_executed() const { return flops_executed_; }
-  double pcie_busy_time() const { return pcie_.busy_time(); }
   double pcie_bytes() const { return pcie_.bytes_transferred(); }
   std::uint64_t kernels_launched() const { return kernels_launched_; }
 

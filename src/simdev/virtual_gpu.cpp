@@ -45,7 +45,7 @@ VirtualGpuPool::VirtualGpuPool(VGpuPoolConfig cfg) : cfg_(std::move(cfg)) {
   PRS_REQUIRE(cfg_.cards >= 1, "vGPU pool needs at least one physical card");
   PRS_REQUIRE(cfg_.slots_per_card >= 1,
               "vGPU pool needs at least one slot per card");
-  card_state_.resize(static_cast<std::size_t>(cfg_.cards));
+  card_vgpus_.resize(static_cast<std::size_t>(cfg_.cards));
 }
 
 VGpuLease VirtualGpuPool::acquire(const std::string& owner, int count,
@@ -63,15 +63,12 @@ VGpuLease VirtualGpuPool::acquire(const std::string& owner, int count,
     // Least-loaded placement, lowest card index on ties — deterministic.
     int best = -1;
     for (int c = 0; c < cfg_.cards; ++c) {
-      const auto& st = card_state_[static_cast<std::size_t>(c)];
-      if (st.vgpus >= cfg_.slots_per_card) continue;
-      if (best < 0 ||
-          st.vgpus < card_state_[static_cast<std::size_t>(best)].vgpus) {
-        best = c;
-      }
+      const int vgpus = card_vgpus(c);
+      if (vgpus >= cfg_.slots_per_card) continue;
+      if (best < 0 || vgpus < card_vgpus(best)) best = c;
     }
     PRS_CHECK(best >= 0, "free_slots() said slots were free");
-    ++card_state_[static_cast<std::size_t>(best)].vgpus;
+    ++card_vgpus_[static_cast<std::size_t>(best)];
     ++slots_in_use_;
     cards.push_back(best);
   }
@@ -83,9 +80,9 @@ VGpuLease VirtualGpuPool::acquire(const std::string& owner, int count,
 
 void VirtualGpuPool::release(VGpuLease& lease) {
   for (int c : lease.cards_) {
-    auto& st = card_state_[static_cast<std::size_t>(c)];
-    PRS_CHECK(st.vgpus > 0, "vGPU release underflow");
-    --st.vgpus;
+    int& vgpus = card_vgpus_[static_cast<std::size_t>(c)];
+    PRS_CHECK(vgpus > 0, "vGPU release underflow");
+    --vgpus;
     --slots_in_use_;
   }
   usage_.erase(lease.id_);
@@ -110,15 +107,6 @@ void VirtualGpuPool::report_usage(const VGpuLease& lease,
   it->second.memory = memory_in_use;
 }
 
-void VirtualGpuPool::charge_busy(const VGpuLease& lease,
-                                 double device_seconds) {
-  if (lease.size() == 0 || device_seconds <= 0.0) return;
-  const double per_card = device_seconds / lease.size();
-  for (int c : lease.cards()) {
-    card_state_[static_cast<std::size_t>(c)].busy += per_card;
-  }
-}
-
 std::uint64_t VirtualGpuPool::open_streams() const {
   std::uint64_t n = 0;
   for (const auto& [id, u] : usage_) n += u.streams;
@@ -131,14 +119,9 @@ std::uint64_t VirtualGpuPool::memory_in_use() const {
   return n;
 }
 
-double VirtualGpuPool::card_busy(int card) const {
-  PRS_REQUIRE(card >= 0 && card < cfg_.cards, "card index out of range");
-  return card_state_[static_cast<std::size_t>(card)].busy;
-}
-
 int VirtualGpuPool::card_vgpus(int card) const {
   PRS_REQUIRE(card >= 0 && card < cfg_.cards, "card index out of range");
-  return card_state_[static_cast<std::size_t>(card)].vgpus;
+  return card_vgpus_[static_cast<std::size_t>(card)];
 }
 
 }  // namespace prs::simdev

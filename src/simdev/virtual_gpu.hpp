@@ -19,8 +19,6 @@
 //     device-memory footprint at every scheduling gate; on release both
 //     must return to zero, which is how the cancel tests prove nothing
 //     leaked.
-//   * busy time: virtual device-seconds are charged to the lease's cards,
-//     giving the per-card utilization view under oversubscription.
 //
 // The pool is bookkeeping only (the physical GpuDevice objects live inside
 // each job's cluster); it is not thread-safe — the JobServer serializes all
@@ -91,7 +89,6 @@ class VirtualGpuPool {
 
   int cards() const { return cfg_.cards; }
   int capacity() const { return cfg_.cards * cfg_.slots_per_card; }
-  int slots_in_use() const { return slots_in_use_; }
   int free_slots() const { return capacity() - slots_in_use_; }
   const VGpuPoolConfig& config() const { return cfg_; }
 
@@ -115,32 +112,23 @@ class VirtualGpuPool {
   void report_usage(const VGpuLease& lease, std::uint64_t open_streams,
                     std::uint64_t memory_in_use);
 
-  /// Charges `device_seconds` of virtual busy time, spread evenly over the
-  /// lease's cards.
-  void charge_busy(const VGpuLease& lease, double device_seconds);
-
   // Pool-wide introspection (the leak checks of the cancel tests).
   int active_leases() const { return active_leases_; }
   std::uint64_t open_streams() const;
   std::uint64_t memory_in_use() const;
-  double card_busy(int card) const;
   int card_vgpus(int card) const;  // occupied slots on one card
 
  private:
   friend class VGpuLease;
   void release(VGpuLease& lease);
 
-  struct CardState {
-    int vgpus = 0;           // occupied slots
-    double busy = 0.0;       // charged virtual device-seconds
-  };
   struct LeaseUsage {
     std::uint64_t streams = 0;
     std::uint64_t memory = 0;
   };
 
   VGpuPoolConfig cfg_;
-  std::vector<CardState> card_state_;
+  std::vector<int> card_vgpus_;       // occupied slots per card
   std::map<int, LeaseUsage> usage_;  // live leases by id
   int next_lease_id_ = 1;
   int slots_in_use_ = 0;

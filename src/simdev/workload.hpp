@@ -34,9 +34,6 @@ struct Workload {
     return flops / mem_traffic;
   }
 
-  /// Total staged bytes (both directions).
-  double staged_bytes() const { return bytes_in + bytes_out; }
-
   /// Splits this workload proportionally: returns the `fraction` share.
   /// Used by the sub-task scheduler when dividing a partition.
   Workload scaled(double fraction) const {

@@ -15,6 +15,7 @@
 #include "ckpt/codec.hpp"
 #include "common/error.hpp"
 #include "data/dataset.hpp"
+#include "fault/fault_plan.hpp"
 #include "linalg/fft.hpp"
 
 namespace prs::svc {
@@ -63,6 +64,26 @@ double split_percent(const roofline::AnalyticScheduler& sched, double ai,
 }
 
 }  // namespace
+
+JobFixtures make_job_fixtures(const JobSpec& spec, sim::Simulator& sim,
+                              core::JobConfig& cfg) {
+  JobFixtures fx;
+  if (!spec.fault_spec.empty()) {
+    fx.injector = std::make_unique<fault::FaultInjector>(
+        sim, fault::FaultPlan::parse(spec.fault_spec), spec.fault_seed);
+    cfg.faults = fx.injector.get();
+  }
+  if (!spec.checkpoint_dir.empty()) {
+    fx.store = std::make_unique<ckpt::FileCheckpointStore>(spec.checkpoint_dir);
+    fx.checkpoint.store = fx.store.get();
+    fx.checkpoint.interval = spec.checkpoint_every;
+    fx.checkpoint.recover = spec.resume;
+    fx.checkpoint.prefix = spec.app;
+    fx.checkpoint.run_seed = spec.seed;
+    fx.checkpoint.fault_seed = spec.fault_seed;
+  }
+  return fx;
+}
 
 LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
                            const core::NodeConfig& node,

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <sstream>
 
-#include "ckpt/checkpoint.hpp"
 #include "ckpt/store.hpp"
 #include "common/error.hpp"
 #include "core/schedule_policy.hpp"
-#include "fault/injector.hpp"
 #include "obs/export.hpp"
 #include "svc/fair_share.hpp"
 
@@ -662,12 +660,9 @@ void JobServer::finish_job_locked(Job& job, JobState final_state,
 // ---------------------------------------------------------------------
 // Job-thread side.
 
-void JobServer::settle_stage_locked(Job& job, double sim_now,
-                                    double gpu_busy) {
+void JobServer::settle_stage_locked(Job& job, double sim_now) {
   const double elapsed = sim_now - job.last_sim_time;
-  const double busy = gpu_busy - job.last_gpu_busy;
   job.last_sim_time = sim_now;
-  job.last_gpu_busy = gpu_busy;
   PRS_CHECK(elapsed >= 0.0, "virtual time ran backwards across a stage");
   // Service = virtual time x width of the reservation, so a 4-vGPU tenant
   // is charged 4x what a 1-vGPU tenant is charged for the same wall of
@@ -679,7 +674,6 @@ void JobServer::settle_stage_locked(Job& job, double sim_now,
   job.service += service;
   vnow_ += elapsed;
   job.stages++;
-  if (job.lease.valid() && busy > 0.0) pool_.charge_busy(job.lease, busy);
   metrics_.counter("svc.service_vsec").add(service);
   if (cfg_.journal != nullptr && cfg_.journal_gate_every > 0 &&
       job.stages % cfg_.journal_gate_every == 0) {
@@ -694,12 +688,12 @@ void JobServer::settle_stage_locked(Job& job, double sim_now,
   }
 }
 
-void JobServer::gate_wait(Job* job, double sim_now, double gpu_busy,
+void JobServer::gate_wait(Job* job, double sim_now,
                           std::uint64_t open_streams,
                           std::uint64_t memory_in_use) {
   std::unique_lock<std::mutex> lk(mu_);
   if (job->state == JobState::kRunningStage) {
-    settle_stage_locked(*job, sim_now, gpu_busy);
+    settle_stage_locked(*job, sim_now);
     if (job->lease.valid()) {
       pool_.report_usage(job->lease, open_streams, memory_in_use);
     }
@@ -723,7 +717,7 @@ void JobServer::run_one_job(Job* job) {
   // First gate before ANY setup: dataset generation and cluster
   // construction are real host work, so they too happen inside a granted
   // slice — the shared exec::ThreadPool never sees two jobs at once.
-  gate_wait(job, 0.0, 0.0, 0, 0);
+  gate_wait(job, 0.0, 0, 0);
 
   sim::Simulator sim;
   core::NodeConfig node = spec.node_config();
@@ -736,27 +730,7 @@ void JobServer::run_one_job(Job* job) {
   auto policy = core::make_policy(spec.policy);
   cfg.policy = policy.get();
 
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!spec.fault_spec.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        sim, fault::FaultPlan::parse(spec.fault_spec), spec.fault_seed);
-    cfg.faults = injector.get();
-  }
-
-  std::unique_ptr<ckpt::FileCheckpointStore> store;
-  ckpt::CheckpointConfig ckpt_cfg;
-  const ckpt::CheckpointConfig* checkpoint = nullptr;
-  if (!spec.checkpoint_dir.empty()) {
-    store = std::make_unique<ckpt::FileCheckpointStore>(spec.checkpoint_dir);
-    ckpt_cfg.store = store.get();
-    ckpt_cfg.interval = spec.checkpoint_every > 0 ? spec.checkpoint_every : 1;
-    ckpt_cfg.recover = spec.resume;
-    ckpt_cfg.on_crash = ckpt::OnCrash::kHalt;
-    ckpt_cfg.prefix = spec.app;
-    ckpt_cfg.run_seed = spec.seed;
-    ckpt_cfg.fault_seed = spec.fault_seed;
-    checkpoint = &ckpt_cfg;
-  }
+  const JobFixtures fx = make_job_fixtures(spec, sim, cfg);
 
   cfg.stage_gate = [this, job, &sim, &cluster](int) {
     std::uint64_t streams = 0;
@@ -769,17 +743,17 @@ void JobServer::run_one_job(Job* job) {
       }
       memory += static_cast<std::uint64_t>(n.region().bytes_allocated());
     }
-    gate_wait(job, sim.now(), cluster.total_gpu_busy(), streams, memory);
+    gate_wait(job, sim.now(), streams, memory);
   };
 
   Rng rng(spec.seed);
   LaunchOutcome outcome =
-      run_job_spec(spec, cluster, node, cfg, rng, checkpoint);
+      run_job_spec(spec, cluster, node, cfg, rng, fx.checkpoint_config());
 
   // Final (unparked) settle: charge the tail stage from the last gate to
   // completion, then publish the outcome.
   std::lock_guard<std::mutex> lk(mu_);
-  settle_stage_locked(*job, sim.now(), cluster.total_gpu_busy());
+  settle_stage_locked(*job, sim.now());
   if (running_job_ == job->id) running_job_ = -1;
   job->outcome = std::move(outcome);
   finish_job_locked(*job, JobState::kDone, "");

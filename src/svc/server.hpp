@@ -211,7 +211,6 @@ class JobServer {
     bool cancel_requested = false;
     // Baselines for per-stage deltas, read by the job thread only.
     double last_sim_time = 0.0;
-    double last_gpu_busy = 0.0;
     simdev::VGpuLease lease;
     std::thread thread;
   };
@@ -234,12 +233,12 @@ class JobServer {
   // Job-thread side.
   void job_thread_main(Job* job);
   void run_one_job(Job* job);
-  /// Parks at the gate, charging the stage that just ended. `sim_now` /
-  /// `gpu_busy` / usage come from the job's private cluster (ready gate
-  /// passes zeros). Throws JobCancelled when cancellation was requested.
-  void gate_wait(Job* job, double sim_now, double gpu_busy,
-                 std::uint64_t open_streams, std::uint64_t memory_in_use);
-  void settle_stage_locked(Job& job, double sim_now, double gpu_busy);
+  /// Parks at the gate, charging the stage that just ended. `sim_now` and
+  /// usage come from the job's private cluster (ready gate passes zeros).
+  /// Throws JobCancelled when cancellation was requested.
+  void gate_wait(Job* job, double sim_now, std::uint64_t open_streams,
+                 std::uint64_t memory_in_use);
+  void settle_stage_locked(Job& job, double sim_now);
 
   Config cfg_;
   AdmissionController admission_;

@@ -1,11 +1,11 @@
 // Crash-matrix integration tests for checkpoint/restart: every iterative
 // app x crash point (early / mid / late) x schedule policy. A node_crash is
-// injected mid-run; the run halts on the crashed iteration (OnCrash::kHalt),
-// a fresh "process" (fresh Simulator + Cluster, full node set) resumes from
-// the latest snapshot, and the final application state must be byte-identical
+// injected mid-run; the run halts on the crashed iteration, a fresh
+// "process" (fresh Simulator + Cluster, full node set) resumes from the
+// latest snapshot, and the final application state must be byte-identical
 // to the fault-free golden run, with every distinct iteration counted exactly
-// once in the stats. Also covered: in-place survivor recovery (kRecover),
-// checkpoint-enabled fault-free runs, and resuming an already-finished run.
+// once in the stats. Also covered: checkpoint-enabled fault-free runs, and
+// resuming an already-finished run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -156,7 +156,7 @@ const AppEntry kApps[] = {
 struct RunResult {
   std::string digest;
   core::JobStats stats;
-  bool crashed = false;  // run halted on a node crash (OnCrash::kHalt)
+  bool crashed = false;  // run halted on a node crash
   std::string error;
 };
 
@@ -164,8 +164,7 @@ struct RunResult {
 /// instance. Checkpoint state crosses runs only through `store`.
 RunResult run_once(const AppEntry& app, const std::string& policy_name,
                    const std::string& fault_spec,
-                   ckpt::CheckpointStore* store,
-                   ckpt::OnCrash on_crash = ckpt::OnCrash::kHalt) {
+                   ckpt::CheckpointStore* store) {
   sim::Simulator simu;
   core::Cluster cluster(simu, kNodes, core::NodeConfig{});
   core::JobConfig cfg;
@@ -189,7 +188,6 @@ RunResult run_once(const AppEntry& app, const std::string& policy_name,
     ck.store = store;
     ck.interval = 2;
     ck.recover = true;
-    ck.on_crash = on_crash;
     ck.prefix = app.name;
     ck.run_seed = kAppSeed;
     ck.fault_seed = kFaultSeed;
@@ -287,28 +285,6 @@ TEST(CkptCrashMatrix, ResumingAFinishedRunReplaysNothing) {
   EXPECT_EQ(again.stats.map_tasks, first.stats.map_tasks);
   EXPECT_GE(again.stats.elapsed, first.stats.elapsed - 1e-12);
   EXPECT_LT(again.stats.elapsed - first.stats.elapsed, 0.005);
-}
-
-TEST(CkptCrashMatrix, InPlaceRecoveryContinuesOnSurvivors) {
-  const AppEntry& app = kApps[0];  // cmeans
-  const RunResult golden = run_once(app, "static", "", nullptr);
-  ASSERT_FALSE(golden.crashed);
-
-  ckpt::MemoryCheckpointStore store;
-  const std::string spec =
-      "node_crash:node2:t=" + format_seconds(0.5 * golden.stats.elapsed);
-  const RunResult recovered =
-      run_once(app, "static", spec, &store, ckpt::OnCrash::kRecover);
-
-  // In-place recovery completes in the same process on the survivors. The
-  // re-split changes block boundaries, so bytes may differ from the golden
-  // run — the contract is accounting: every distinct iteration exactly once,
-  // with the wasted round and the blacklisting visible in the stats.
-  ASSERT_FALSE(recovered.crashed) << recovered.error;
-  EXPECT_EQ(recovered.stats.iterations, golden.stats.iterations);
-  EXPECT_GT(recovered.stats.job_attempts, 1);
-  EXPECT_GT(recovered.stats.blacklisted_nodes, 0);
-  EXPECT_FALSE(recovered.digest.empty());
 }
 
 TEST(Iterative, CrashedNodeStaysOutOfLaterIterationsWithoutCheckpoints) {

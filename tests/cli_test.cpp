@@ -1,7 +1,10 @@
-// Unit tests for the prs_run command-line parser and its mapping onto
-// NodeConfig / JobConfig.
+// Unit tests for the prs_run command-line parser: its job flags are the
+// svc::JobSpec SUBMIT keys, parsed and validated by the spec's own code.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/schedule_policy.hpp"
@@ -17,13 +20,21 @@ bool parse(std::vector<const char*> args, Options& out, std::string& err) {
   return parse_options(static_cast<int>(argv.size()), argv.data(), out, err);
 }
 
+bool parse_strings(const std::vector<std::string>& args, Options& out,
+                   std::string& err) {
+  std::vector<const char*> ptrs;
+  for (const std::string& a : args) ptrs.push_back(a.c_str());
+  return parse(ptrs, out, err);
+}
+
 TEST(Cli, DefaultsAreSane) {
   Options o;
   std::string err;
   EXPECT_TRUE(parse({}, o, err)) << err;
-  EXPECT_EQ(o.app, "cmeans");
-  EXPECT_EQ(o.nodes, 4);
-  EXPECT_FALSE(o.functional);
+  EXPECT_EQ(o.job, svc::JobSpec{});
+  EXPECT_EQ(o.job.app, "cmeans");
+  EXPECT_EQ(o.job.nodes, 4);
+  EXPECT_FALSE(o.job.functional);
   EXPECT_FALSE(o.show_help);
 }
 
@@ -37,28 +48,32 @@ TEST(Cli, ParsesAllValueOptions) {
                      "--cpu-fraction=0.25", "--seed=9"},
                     o, err))
       << err;
-  EXPECT_EQ(o.app, "gmm");
-  EXPECT_EQ(o.testbed, "bigred2");
-  EXPECT_EQ(o.nodes, 8);
-  EXPECT_EQ(o.gpus, 2);
-  EXPECT_EQ(o.points, 12345u);
-  EXPECT_EQ(o.dims, 60u);
-  EXPECT_EQ(o.clusters, 7);
-  EXPECT_EQ(o.iterations, 3);
-  EXPECT_EQ(o.rows, 11u);
-  EXPECT_EQ(o.cols, 22u);
-  EXPECT_EQ(o.policy, "dynamic");
-  EXPECT_DOUBLE_EQ(o.cpu_fraction, 0.25);
-  EXPECT_EQ(o.seed, 9u);
+  EXPECT_EQ(o.job.app, "gmm");
+  EXPECT_EQ(o.job.testbed, "bigred2");
+  EXPECT_EQ(o.job.nodes, 8);
+  EXPECT_EQ(o.job.gpus, 2);
+  EXPECT_EQ(o.job.points, 12345u);
+  EXPECT_EQ(o.job.dims, 60u);
+  EXPECT_EQ(o.job.clusters, 7);
+  EXPECT_EQ(o.job.iterations, 3);
+  EXPECT_EQ(o.job.rows, 11u);
+  EXPECT_EQ(o.job.cols, 22u);
+  EXPECT_EQ(o.job.policy, "dynamic");
+  EXPECT_DOUBLE_EQ(o.job.cpu_fraction, 0.25);
+  EXPECT_EQ(o.job.seed, 9u);
 }
 
 TEST(Cli, FlagsAndAliases) {
   Options o;
   std::string err;
   EXPECT_TRUE(parse({"--functional", "--gpu-only", "--lines=77"}, o, err));
-  EXPECT_TRUE(o.functional);
-  EXPECT_TRUE(o.gpu_only);
-  EXPECT_EQ(o.points, 77u);
+  EXPECT_TRUE(o.job.functional);
+  EXPECT_TRUE(o.job.gpu_only);
+  EXPECT_EQ(o.job.points, 77u);
+  Options o2;
+  EXPECT_TRUE(parse({"--signals=64", "--components=3"}, o2, err)) << err;
+  EXPECT_EQ(o2.job.points, 64u);
+  EXPECT_EQ(o2.job.clusters, 3);
 }
 
 TEST(Cli, RejectsUnknownAndMalformed) {
@@ -79,20 +94,20 @@ TEST(Cli, PolicySelection) {
   Options o;
   std::string err;
   ASSERT_TRUE(parse({"--policy=adaptive"}, o, err)) << err;
-  EXPECT_EQ(o.policy, "adaptive");
+  EXPECT_EQ(o.job.policy, "adaptive");
   // Adaptive refines the static dispatch path.
-  EXPECT_EQ(core::make_policy(o.policy)->dispatch(),
+  EXPECT_EQ(core::make_policy(o.job.policy)->dispatch(),
             core::SchedulingMode::kStatic);
 
   Options o2;
   ASSERT_TRUE(parse({}, o2, err));
-  EXPECT_EQ(o2.policy, "static");
-  EXPECT_EQ(core::make_policy(o2.policy)->name(), "static");
+  EXPECT_EQ(o2.job.policy, "static");
+  EXPECT_EQ(core::make_policy(o2.job.policy)->name(), "static");
 
   Options o3;
   ASSERT_TRUE(parse({"--policy=dynamic"}, o3, err));
-  EXPECT_EQ(o3.policy, "dynamic");
-  EXPECT_EQ(core::make_policy(o3.policy)->dispatch(),
+  EXPECT_EQ(o3.job.policy, "dynamic");
+  EXPECT_EQ(core::make_policy(o3.job.policy)->dispatch(),
             core::SchedulingMode::kDynamic);
 }
 
@@ -114,8 +129,8 @@ TEST(Cli, PipelineDepthAndGraphDumpNeedNoEngineFlag) {
   ASSERT_TRUE(parse({"--pipeline-depth=4", "--graph-dump=/tmp/job.dot"}, o,
                     err))
       << err;
-  EXPECT_EQ(o.job_config().pipeline_depth, 4);
-  EXPECT_EQ(o.job_config().graph_dump_path, "/tmp/job.dot");
+  EXPECT_EQ(o.job.job_config().pipeline_depth, 4);
+  EXPECT_EQ(o.graph_dump, "/tmp/job.dot");
   Options adaptive;
   EXPECT_TRUE(parse({"--pipeline-depth=2", "--policy=adaptive"}, adaptive,
                     err))
@@ -124,7 +139,7 @@ TEST(Cli, PipelineDepthAndGraphDumpNeedNoEngineFlag) {
   Options dynamic;
   EXPECT_FALSE(parse({"--pipeline-depth=2", "--policy=dynamic"}, dynamic,
                      err));
-  EXPECT_NE(err.find("--policy=dynamic"), std::string::npos) << err;
+  EXPECT_NE(err.find("policy=dynamic"), std::string::npos) << err;
   Options shallow;
   EXPECT_TRUE(parse({"--pipeline-depth=1", "--policy=dynamic"}, shallow,
                     err))
@@ -153,14 +168,14 @@ TEST(Cli, NodeConfigMapping) {
   Options o;
   std::string err;
   ASSERT_TRUE(parse({"--testbed=bigred2", "--gpus=2"}, o, err));
-  auto cfg = o.node_config();
+  auto cfg = o.job.node_config();
   EXPECT_EQ(cfg.cpu.name, "BigRed2 AMD Opteron 6212");
   EXPECT_EQ(cfg.gpu.name, "NVIDIA Tesla K20");
   EXPECT_EQ(cfg.gpus_per_node, 2);
 
   Options phi;
   ASSERT_TRUE(parse({"--testbed=phi"}, phi, err));
-  EXPECT_EQ(phi.node_config().gpu.name, "Intel Xeon Phi 5110P");
+  EXPECT_EQ(phi.job.node_config().gpu.name, "Intel Xeon Phi 5110P");
 }
 
 TEST(Cli, JobConfigMapping) {
@@ -169,8 +184,8 @@ TEST(Cli, JobConfigMapping) {
   ASSERT_TRUE(parse({"--policy=dynamic", "--functional", "--cpu-only",
                      "--cpu-fraction=0.5"},
                     o, err));
-  auto cfg = o.job_config();
-  EXPECT_EQ(o.policy, "dynamic");
+  auto cfg = o.job.job_config();
+  EXPECT_EQ(o.job.policy, "dynamic");
   EXPECT_EQ(cfg.policy, nullptr);  // the caller builds the policy
   EXPECT_EQ(cfg.mode, core::ExecutionMode::kFunctional);
   EXPECT_FALSE(cfg.use_gpu);
@@ -185,11 +200,12 @@ TEST(Cli, CheckpointFlagsParseAndValidate) {
                      "--checkpoint-dir=/tmp/ck", "--resume"},
                     o, err))
       << err;
-  EXPECT_EQ(o.checkpoint_every, 3);
-  EXPECT_EQ(o.checkpoint_dir, "/tmp/ck");
-  EXPECT_TRUE(o.resume);
+  EXPECT_EQ(o.job.checkpoint_every, 3);
+  EXPECT_EQ(o.job.checkpoint_dir, "/tmp/ck");
+  EXPECT_TRUE(o.job.resume);
 
-  // --resume alone picks interval 1 downstream but still needs a directory.
+  // --resume alone keeps the default interval 1 but still needs a
+  // directory.
   Options dirless;
   EXPECT_FALSE(parse({"--app=cmeans", "--functional", "--resume"}, dirless,
                      err));
@@ -235,7 +251,7 @@ TEST(Cli, UnknownFlagAfterHelpOrListIsRejected) {
   Options o3;
   EXPECT_TRUE(parse({"--help", "--nodes=2"}, o3, err)) << err;
   EXPECT_TRUE(o3.show_help);
-  EXPECT_EQ(o3.nodes, 2);
+  EXPECT_EQ(o3.job.nodes, 2);
 }
 
 TEST(Cli, ThrowingParserNamesTheFlag) {
@@ -283,7 +299,7 @@ TEST(Cli, ClientFlagValidation) {
                     o4, err))
       << err;
   EXPECT_EQ(o4.tenant, "alice");
-  EXPECT_EQ(o4.gpu_mem_bytes, 1048576u);
+  EXPECT_EQ(o4.job.gpu_mem_bytes, 1048576u);
 }
 
 TEST(Cli, OptionsMapToJobSpec) {
@@ -294,7 +310,7 @@ TEST(Cli, OptionsMapToJobSpec) {
                      "--functional", "--seed=5"},
                     o, err))
       << err;
-  svc::JobSpec s = to_job_spec(o);
+  const svc::JobSpec& s = o.job;
   EXPECT_EQ(s.app, "gmm");
   EXPECT_EQ(s.testbed, "bigred2");
   EXPECT_EQ(s.policy, "adaptive");
@@ -305,6 +321,125 @@ TEST(Cli, OptionsMapToJobSpec) {
   EXPECT_EQ(s.seed, 5u);
   EXPECT_EQ(s.vgpus_needed(), 6);
   EXPECT_NO_THROW(s.validate());
+}
+
+/// The prs_run argv a SUBMIT token string maps to: '-' for '_', --gpu-mem
+/// for gpu_mem_bytes, and a bool field's key=1 as the bare --key.
+std::vector<std::string> flags_from_tokens(const std::string& tokens) {
+  std::set<std::string> bools;
+  const svc::JobSpec def;
+  svc::visit_job_spec_fields(def, [&](const char* key, const auto& f) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(f)>, bool>) {
+      bools.insert(key);
+    }
+  });
+  std::vector<std::string> args;
+  std::size_t pos = 0;
+  while (pos < tokens.size()) {
+    std::size_t sp = tokens.find(' ', pos);
+    if (sp == std::string::npos) sp = tokens.size();
+    const std::string tok = tokens.substr(pos, sp - pos);
+    pos = sp + 1;
+    const std::size_t eq = tok.find('=');
+    const std::string key = tok.substr(0, eq);
+    const std::string value = tok.substr(eq + 1);
+    std::string flag = key == "gpu_mem_bytes" ? "--gpu-mem" : "--" + key;
+    for (char& c : flag) {
+      if (c == '_') c = '-';
+    }
+    const bool bare = bools.count(key) > 0 && value == "1";
+    args.push_back(bare ? flag : flag + "=" + value);
+  }
+  return args;
+}
+
+TEST(Cli, JobFlagsRoundTripThroughSubmitTokens) {
+  svc::JobSpec gpu;
+  gpu.app = "stencil";
+  gpu.testbed = "bigred2";
+  gpu.policy = "adaptive";
+  gpu.nodes = 3;
+  gpu.gpus = 2;
+  gpu.points = 777;
+  gpu.dims = 9;
+  gpu.clusters = 5;
+  gpu.iterations = 7;
+  gpu.rows = 65;
+  gpu.cols = 33;
+  gpu.functional = true;
+  gpu.gpu_only = true;
+  gpu.cpu_fraction = 0.25;
+  gpu.seed = 5;
+  gpu.pipeline_depth = 2;
+  gpu.fault_spec = "slow_node:node1:x2";
+  gpu.fault_seed = 7;
+  gpu.checkpoint_every = 3;
+  gpu.checkpoint_dir = "/tmp/ck";
+  gpu.resume = true;
+  gpu.gpu_mem_bytes = 1048576;
+  // gpu_only and cpu_only exclude each other, so the second spec moves the
+  // other one.
+  svc::JobSpec cpu = gpu;
+  cpu.gpu_only = false;
+  cpu.cpu_only = true;
+
+  // Between them the two specs move every one of the 23 fields.
+  const svc::JobSpec def;
+  std::set<std::string> moved;
+  for (const svc::JobSpec* spec : {&gpu, &cpu}) {
+    svc::visit_job_spec_fields2(
+        *spec, def, [&](const char* key, const auto& v, const auto& d) {
+          if (!(v == d)) moved.insert(key);
+        });
+  }
+  int fields = 0;
+  svc::visit_job_spec_fields(def, [&](const char*, const auto&) { ++fields; });
+  EXPECT_EQ(fields, 23);
+  EXPECT_EQ(moved.size(), static_cast<std::size_t>(fields));
+
+  for (const svc::JobSpec* spec : {&gpu, &cpu}) {
+    const std::vector<std::string> args = flags_from_tokens(spec->to_tokens());
+    Options o;
+    std::string err;
+    ASSERT_TRUE(parse_strings(args, o, err)) << err;
+    EXPECT_EQ(o.job, *spec) << spec->to_tokens();
+    EXPECT_EQ(o.job.to_tokens(), spec->to_tokens());
+  }
+}
+
+TEST(Cli, WireSpellingsAreUnknownOptions) {
+  // prs_run takes each key with '-' for '_' (and --gpu-mem for
+  // gpu_mem_bytes); the wire spelling is not a second name for it.
+  for (const char* arg : {"--pipeline_depth=2", "--cpu_fraction=0.5",
+                          "--gpu_mem_bytes=64", "--gpu-mem-bytes=64"}) {
+    Options o;
+    std::string err;
+    EXPECT_FALSE(parse({arg}, o, err)) << arg;
+    EXPECT_NE(err.find("unknown option"), std::string::npos) << err;
+  }
+  // A value-taking job flag is not a bare flag.
+  Options o;
+  std::string err;
+  EXPECT_FALSE(parse({"--nodes"}, o, err));
+  EXPECT_NE(err.find("unrecognized argument: --nodes"), std::string::npos)
+      << err;
+}
+
+TEST(Cli, JobValuesFollowTheSpecRules) {
+  // The values prs_serve admits: a negative CPU share keeps the analytic
+  // split, and a zero memory quota is the whole card.
+  Options o;
+  std::string err;
+  ASSERT_TRUE(parse({"--cpu-fraction=-1", "--gpu-mem=0"}, o, err)) << err;
+  EXPECT_EQ(o.job, svc::JobSpec{});
+  // ...and the ones it rejects, with the spec's message.
+  for (const char* arg : {"--cpu-fraction=nan", "--app=frobnicate"}) {
+    Options bad;
+    EXPECT_FALSE(parse({arg}, bad, err)) << arg;
+  }
+  Options stencil;
+  EXPECT_FALSE(parse({"--app=stencil"}, stencil, err));
+  EXPECT_EQ(err, "stencil requires functional mode");
 }
 
 }  // namespace

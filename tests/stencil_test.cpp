@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "apps/stencil.hpp"
+#include "core/calibration.hpp"
 #include "core/cluster.hpp"
 
 namespace prs::apps {
@@ -239,6 +242,57 @@ TEST(StencilHaloGraph, OverlapBeatsTheStageBarrier) {
   ASSERT_GT(t_stages, 0.0);
   ASSERT_GT(t_graph, 0.0);
   EXPECT_LT(t_graph, t_stages);
+}
+
+TEST(StencilHaloGraph, ChargesTheJobStartupOnce) {
+  // Like every other job, the halo graph pays the PRS startup constant
+  // once, and reports it as its startup phase.
+  auto g = hot_edge_grid(24, 16);
+  StencilParams p;
+  p.max_iterations = 40;  // two windows: the second one pays nothing
+  p.epsilon = 0.0;
+  core::JobStats with, without;
+  linalg::MatrixD grid_with, grid_without;
+  for (const bool charge : {true, false}) {
+    sim::Simulator sim;
+    Cluster cluster(sim, 2, NodeConfig{});
+    JobConfig cfg;
+    cfg.pipeline_depth = 2;
+    cfg.charge_job_startup = charge;
+    auto res = stencil_prs(cluster, g, p, cfg, charge ? &with : &without);
+    (charge ? grid_with : grid_without) = res.grid;
+  }
+  EXPECT_NEAR(with.elapsed - without.elapsed, core::calib::kPrsJobStartup,
+              1e-9);
+  EXPECT_DOUBLE_EQ(with.startup_time, core::calib::kPrsJobStartup);
+  EXPECT_EQ(without.startup_time, 0.0);
+  EXPECT_EQ(grid_with, grid_without);
+}
+
+TEST(StencilHaloGraph, PassesTheStageGateBeforeEachWindow) {
+  auto g = hot_edge_grid(24, 16);
+  StencilParams p;
+  p.max_iterations = 40;
+  p.epsilon = 0.0;
+  std::vector<int> gates;
+  {
+    sim::Simulator sim;
+    Cluster cluster(sim, 2, NodeConfig{});
+    JobConfig cfg;
+    cfg.pipeline_depth = 2;
+    cfg.stage_gate = [&gates](int iter) { gates.push_back(iter); };
+    (void)stencil_prs(cluster, g, p, cfg);
+  }
+  EXPECT_EQ(gates, (std::vector<int>{0, 32}));
+  // A gate that throws (the job server's cancel) ends the job there.
+  sim::Simulator sim;
+  Cluster cluster(sim, 2, NodeConfig{});
+  JobConfig cfg;
+  cfg.pipeline_depth = 2;
+  cfg.stage_gate = [](int iter) {
+    if (iter > 0) throw std::runtime_error("cancelled at gate");
+  };
+  EXPECT_THROW((void)stencil_prs(cluster, g, p, cfg), std::runtime_error);
 }
 
 }  // namespace

@@ -161,6 +161,63 @@ TEST(JournalCodec, AllRecordTypesRoundTrip) {
   EXPECT_EQ(parsed.seed, spec.seed);
 }
 
+TEST(JournalCodec, SpecTokensWrittenBeforeTheFieldVisitorStillReplay) {
+  // SUBMIT records as the hand-written to_tokens() stored them, before the
+  // spec's keys were listed once in visit_job_spec_fields: every field off
+  // its default, and a checkpointed job that left the interval at its
+  // default (then 0, read as 1; now 1 itself).
+  JobSpec every;
+  every.app = "stencil";
+  every.testbed = "bigred2";
+  every.policy = "adaptive";
+  every.nodes = 3;
+  every.gpus = 2;
+  every.points = 777;
+  every.dims = 9;
+  every.clusters = 5;
+  every.iterations = 7;
+  every.rows = 65;
+  every.cols = 33;
+  every.functional = true;
+  every.gpu_only = true;
+  every.cpu_fraction = 0.25;
+  every.seed = 5;
+  every.pipeline_depth = 2;
+  every.fault_spec = "slow_node:node1:x2";
+  every.fault_seed = 7;
+  every.checkpoint_every = 3;
+  every.checkpoint_dir = "/tmp/ck";
+  every.resume = true;
+  every.gpu_mem_bytes = 1048576;
+  JobSpec interval_default;
+  interval_default.functional = true;
+  interval_default.checkpoint_dir = "/tmp/ck";
+  const std::pair<std::string, JobSpec> stored[] = {
+      {"app=stencil testbed=bigred2 policy=adaptive nodes=3 gpus=2 "
+       "points=777 dims=9 clusters=5 iterations=7 rows=65 cols=33 "
+       "functional=1 gpu_only=1 cpu_fraction=0.250000 seed=5 "
+       "pipeline_depth=2 fault_spec=slow_node:node1:x2 fault_seed=7 "
+       "checkpoint_every=3 checkpoint_dir=/tmp/ck resume=1 "
+       "gpu_mem_bytes=1048576",
+       every},
+      {"functional=1 checkpoint_dir=/tmp/ck", interval_default},
+  };
+  for (const auto& [tokens, spec] : stored) {
+    JournalRecord rec;
+    rec.type = JournalRecordType::kSubmit;
+    rec.job_id = 1;
+    rec.tenant = "alice";
+    rec.spec_tokens = tokens;
+    const JournalReplay replay = decode_journal(encode_journal_record(rec));
+    ASSERT_EQ(replay.records.size(), 1u);
+    const JobSpec parsed = parse_job_spec_tokens(replay.records[0].spec_tokens);
+    EXPECT_EQ(parsed, spec) << tokens;
+    EXPECT_NO_THROW(parsed.validate()) << tokens;
+    // Today's writer stores the same bytes.
+    EXPECT_EQ(spec.to_tokens(), tokens);
+  }
+}
+
 TEST(JournalCodec, TornTailStopsCleanlyAtEveryTruncation) {
   std::vector<JournalRecord> in;
   in.push_back(submit_record(1, "a", small_cmeans(3)));

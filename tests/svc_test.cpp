@@ -226,6 +226,22 @@ TEST(JobSpecWire, ValidateRejectsBadCombinations) {
   modeled_stencil.app = "stencil";
   modeled_stencil.functional = false;
   EXPECT_THROW(modeled_stencil.validate(), InvalidArgument);
+  // The snapshot interval is at least one iteration, with or without a
+  // checkpoint directory.
+  JobSpec zero_interval;
+  zero_interval.functional = true;
+  zero_interval.checkpoint_dir = "/tmp/ck";
+  zero_interval.checkpoint_every = 0;
+  EXPECT_THROW(zero_interval.validate(), InvalidArgument);
+  zero_interval.checkpoint_dir.clear();
+  EXPECT_THROW(zero_interval.validate(), InvalidArgument);
+  JobSpec nan_share;
+  nan_share.cpu_fraction = std::nan("");
+  EXPECT_THROW(nan_share.validate(), InvalidArgument);
+  // A negative share is the analytic split, as in core::JobConfig.
+  JobSpec analytic;
+  analytic.cpu_fraction = -1.0;
+  EXPECT_NO_THROW(analytic.validate());
 }
 
 TEST(JobSpecWire, PipelineDepthNeedsAStaticDispatchPolicyOnly) {
@@ -524,6 +540,33 @@ TEST(JobServer, CancelMidIterationLeaksNothing) {
   EXPECT_EQ(server.pool().open_streams(), 0u);
   EXPECT_EQ(server.pool().memory_in_use(), 0u);
   EXPECT_EQ(server.tenant_account("a").jobs_cancelled, 1u);
+}
+
+TEST(JobServer, CancelStopsAPipelinedStencilAtItsNextWindow) {
+  // The halo graph passes the stage gate before each 32-sweep window, so
+  // the job runs in stages and a cancel lands at the next window. A 64x64
+  // random grid is far from converged after 3200 sweeps.
+  JobServer server(server_cfg(1, 2));
+  server.add_tenant("a", TenantQuota{});
+  JobSpec spec;
+  spec.app = "stencil";
+  spec.functional = true;
+  spec.nodes = 2;
+  spec.dims = 64;
+  spec.cols = 64;
+  spec.iterations = 3200;
+  spec.pipeline_depth = 2;
+  server.start();
+  auto res = server.submit("a", spec);
+  ASSERT_TRUE(res.ok());
+  ASSERT_TRUE(server.wait_for_stages(res.job_id, 3));
+  EXPECT_TRUE(server.cancel(res.job_id));
+  const JobStatus st = server.wait(res.job_id);
+  EXPECT_EQ(st.state, JobState::kCancelled);
+  server.stop();
+  EXPECT_EQ(server.pool().active_leases(), 0);
+  EXPECT_EQ(server.pool().open_streams(), 0u);
+  EXPECT_EQ(server.pool().memory_in_use(), 0u);
 }
 
 TEST(JobServer, CancelQueuedJobNeverRuns) {

@@ -1,7 +1,6 @@
 #include "tools/cli_options.hpp"
 
-#include <charconv>
-#include <cstring>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "exec/thread_pool.hpp"
@@ -9,28 +8,31 @@
 namespace prs::tools {
 namespace {
 
-bool parse_u64(const std::string& v, std::uint64_t& out) {
-  const char* b = v.data();
-  const char* e = b + v.size();
-  auto [p, ec] = std::from_chars(b, e, out);
-  return ec == std::errc() && p == e;
-}
-
-bool parse_int(const std::string& v, int& out) {
-  const char* b = v.data();
-  const char* e = b + v.size();
-  auto [p, ec] = std::from_chars(b, e, out);
-  return ec == std::errc() && p == e;
-}
-
-bool parse_double(const std::string& v, double& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stod(v, &pos);
-    return pos == v.size();
-  } catch (...) {
-    return false;
+/// The JobSpec key a prs_run flag names: the flag with '_' for '-', and
+/// gpu_mem_bytes for --gpu-mem. Empty for a spelling prs_run does not take
+/// (the wire key itself, --pipeline_depth or --gpu-mem-bytes).
+std::string job_key(const std::string& flag) {
+  if (flag.find('_') != std::string::npos || flag == "gpu-mem-bytes") {
+    return "";
   }
+  if (flag == "gpu-mem") return "gpu_mem_bytes";
+  std::string key = flag;
+  for (char& c : key) {
+    if (c == '-') c = '_';
+  }
+  return key;
+}
+
+/// Whether `key` is a bool JobSpec field: those are bare prs_run flags.
+bool is_bool_job_key(const std::string& key) {
+  bool found = false;
+  svc::JobSpec spec;
+  svc::visit_job_spec_fields(spec, [&](const char* name, const auto& f) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(f)>, bool>) {
+      found = found || key == name;
+    }
+  });
+  return found;
 }
 
 }  // namespace
@@ -39,6 +41,9 @@ std::string usage() {
   return R"(prs_run — run an SPMD application on a simulated CPU+GPU cluster
 
 usage: prs_run [options]
+
+job flags (the SUBMIT keys of prs_serve's protocol, '-' for '_'; the same
+parser and validator serve both):
   --app=NAME          cmeans | kmeans | gmm | gemv | dgemm | fft |
                       wordcount | stencil
   --testbed=NAME      delta (default) | bigred2 | phi
@@ -55,17 +60,32 @@ usage: prs_run [options]
                       | dynamic (block polling) | adaptive (analytic p
                       refined per iteration from observed busy times)
   --cpu-fraction=P    override the analytic CPU share p in [0,1]
+                      (negative, the default: the analytic Eq (8) split)
   --pipeline-depth=N  pipelining depth (default 1; static and adaptive
                       policies): N>1 copies each GPU block back as its
                       kernel ends, and the stencil runs row blocks up to
                       N sweeps ahead; each iteration is one job, and
                       numeric results are byte-identical
-  --graph-dump=FILE   write the job's task graph as Graphviz DOT
-                      (iterative jobs overwrite FILE per iteration)
   --functional        compute real results (default: modeled virtual time)
   --gpu-only          disable the CPU backend
   --cpu-only          disable the GPU backend
   --seed=S            RNG seed (default 42)
+  --fault-spec=SPEC   inject faults and run fault-tolerant, e.g.
+                      "gpu_hang:node1:t=2ms", "link_drop:*:p=0.01",
+                      "slow_node:node3:x4", "node_crash:node2:t=5ms";
+                      ';'-separated clauses compose (see DESIGN.md)
+  --fault-seed=S      seed of the fault injector's RNG streams (default 1)
+  --checkpoint-dir=DIR  snapshot the iterative driver's state into DIR
+                      (functional cmeans/kmeans/gmm/stencil only); a
+                      node_crash then halts with the latest snapshot
+                      preserved on disk
+  --checkpoint-every=N  snapshot interval in iterations (default 1)
+  --resume            resume from the latest snapshot in --checkpoint-dir;
+                      the run must use the same input flags and seeds
+  --gpu-mem=BYTES     per-vGPU device-memory quota under prs_serve
+                      (default 0: the whole card)
+
+process flags:
   --repeat=N          run the job N times, resetting counters in between
   --host-threads=N    real host threads driving the numeric map kernels
                       (default 0 = $PRS_HOST_THREADS, else all cores);
@@ -76,19 +96,8 @@ usage: prs_run [options]
                       unsupported level fails loudly
   --simd-calibrate    micro-benchmark the host vector speedup and scale the
                       roofline CPU rate Fc in the Eq (8) split by it
-
-  --fault-spec=SPEC   inject faults and run fault-tolerant, e.g.
-                      "gpu_hang:node1:t=2ms", "link_drop:*:p=0.01",
-                      "slow_node:node3:x4", "node_crash:node2:t=5ms";
-                      ';'-separated clauses compose (see DESIGN.md)
-  --fault-seed=S      seed of the fault injector's RNG streams (default 1)
-  --checkpoint-every=N  snapshot the iterative driver's state every N
-                      iterations into --checkpoint-dir (functional
-                      cmeans/kmeans/gmm only); a node_crash then halts
-                      with the latest snapshot preserved on disk
-  --checkpoint-dir=DIR  directory for checkpoint snapshots
-  --resume            resume from the latest snapshot in --checkpoint-dir;
-                      the run must use the same input flags and seeds
+  --graph-dump=FILE   write the job's task graph as Graphviz DOT
+                      (iterative jobs overwrite FILE per iteration)
   --trace=FILE        write a Chrome trace-event JSON timeline (open in
                       chrome://tracing or https://ui.perfetto.dev)
   --metrics=FILE      write runtime metrics (JSON if FILE ends in .json,
@@ -99,7 +108,6 @@ client mode (against a running prs_serve; see DESIGN.md "Service layer"):
   --tenant=NAME       tenant identity for --submit (default "default")
   --submit            submit this job to the server, wait for it and print
                       its result lines (digests match a single-shot run)
-  --gpu-mem=BYTES     per-vGPU device-memory quota to request with --submit
   --job-status=ID     print one job's status line
   --wait-job=ID       block until a job is terminal, print its results
   --cancel-job=ID     cancel a queued or running job
@@ -138,22 +146,6 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
       out.show_list = true;
       continue;
     }
-    if (arg == "--functional") {
-      out.functional = true;
-      continue;
-    }
-    if (arg == "--gpu-only") {
-      out.gpu_only = true;
-      continue;
-    }
-    if (arg == "--cpu-only") {
-      out.cpu_only = true;
-      continue;
-    }
-    if (arg == "--resume") {
-      out.resume = true;
-      continue;
-    }
     if (arg == "--simd-calibrate") {
       out.simd_calibrate = true;
       continue;
@@ -175,71 +167,27 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
       continue;
     }
     const auto eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
+    const bool dashed = arg.rfind("--", 0) == 0;
+    const std::string key = dashed ? arg.substr(2, eq - 2) : "";
+    if (!dashed ||
+        (eq == std::string::npos && !is_bool_job_key(job_key(key)))) {
       error = "unrecognized argument: " + arg + " (see --help)";
       return false;
     }
-    const std::string key = arg.substr(2, eq - 2);
-    const std::string val = arg.substr(eq + 1);
+    const std::string val = eq == std::string::npos ? "1" : arg.substr(eq + 1);
     bool ok = true;
-    std::uint64_t u = 0;
-    if (key == "app") {
-      out.app = val;
-    } else if (key == "testbed") {
-      out.testbed = val;
-      ok = val == "delta" || val == "bigred2" || val == "phi";
-    } else if (key == "policy") {
-      out.policy = val;
-      ok = val == "static" || val == "dynamic" || val == "adaptive";
-    } else if (key == "nodes") {
-      ok = parse_int(val, out.nodes) && out.nodes >= 1;
-    } else if (key == "gpus") {
-      ok = parse_int(val, out.gpus) && out.gpus >= 0;
-    } else if (key == "points" || key == "lines" || key == "signals") {
-      ok = parse_u64(val, u) && u > 0;
-      out.points = u;
-    } else if (key == "dims") {
-      ok = parse_u64(val, u) && u > 0;
-      out.dims = u;
-    } else if (key == "clusters" || key == "components") {
-      ok = parse_int(val, out.clusters) && out.clusters >= 1;
-    } else if (key == "iterations") {
-      ok = parse_int(val, out.iterations) && out.iterations >= 1;
-    } else if (key == "rows") {
-      ok = parse_u64(val, u) && u > 0;
-      out.rows = u;
-    } else if (key == "cols") {
-      ok = parse_u64(val, u) && u > 0;
-      out.cols = u;
-    } else if (key == "cpu-fraction") {
-      ok = parse_double(val, out.cpu_fraction) && out.cpu_fraction >= 0.0 &&
-           out.cpu_fraction <= 1.0;
-    } else if (key == "seed") {
-      ok = parse_u64(val, out.seed);
-    } else if (key == "pipeline-depth") {
-      ok = parse_int(val, out.pipeline_depth) && out.pipeline_depth >= 1 &&
-           out.pipeline_depth <= 64;
-    } else if (key == "graph-dump") {
+    if (key == "graph-dump") {
       out.graph_dump = val;
       ok = !val.empty();
-    } else if (key == "fault-spec") {
-      out.fault_spec = val;
-      ok = !val.empty();
-    } else if (key == "fault-seed") {
-      ok = parse_u64(val, out.fault_seed);
-    } else if (key == "checkpoint-every") {
-      ok = parse_int(val, out.checkpoint_every) && out.checkpoint_every >= 1;
-    } else if (key == "checkpoint-dir") {
-      out.checkpoint_dir = val;
-      ok = !val.empty();
     } else if (key == "repeat") {
-      ok = parse_int(val, out.repeat) && out.repeat >= 1;
+      ok = svc::parse_wire_value(val, out.repeat) && out.repeat >= 1;
     } else if (key == "simd") {
       out.simd = val;
       ok = val == "scalar" || val == "avx2" || val == "avx512" ||
            val == "auto";
     } else if (key == "host-threads") {
-      ok = parse_int(val, out.host_threads) && out.host_threads >= 0 &&
+      ok = svc::parse_wire_value(val, out.host_threads) &&
+           out.host_threads >= 0 &&
            out.host_threads <= exec::ThreadPool::kMaxThreads;
     } else if (key == "trace") {
       out.trace_path = val;
@@ -254,65 +202,47 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
       out.tenant = val;
       ok = !val.empty();
     } else if (key == "job-status") {
-      ok = parse_int(val, out.job_status) && out.job_status >= 1;
+      ok = svc::parse_wire_value(val, out.job_status) && out.job_status >= 1;
     } else if (key == "wait-job") {
-      ok = parse_int(val, out.wait_job) && out.wait_job >= 1;
+      ok = svc::parse_wire_value(val, out.wait_job) && out.wait_job >= 1;
     } else if (key == "cancel-job") {
-      ok = parse_int(val, out.cancel_job) && out.cancel_job >= 1;
-    } else if (key == "gpu-mem") {
-      ok = parse_u64(val, out.gpu_mem_bytes) && out.gpu_mem_bytes > 0;
+      ok = svc::parse_wire_value(val, out.cancel_job) && out.cancel_job >= 1;
     } else if (key == "server-retries") {
-      ok = parse_int(val, out.server_retries) && out.server_retries >= 0;
+      ok = svc::parse_wire_value(val, out.server_retries) &&
+           out.server_retries >= 0;
     } else if (key == "retry-base-ms") {
-      ok = parse_int(val, out.retry_base_ms) && out.retry_base_ms >= 1;
+      ok = svc::parse_wire_value(val, out.retry_base_ms) &&
+           out.retry_base_ms >= 1;
     } else if (key == "server-timeout-ms") {
-      ok = parse_int(val, out.server_timeout_ms) && out.server_timeout_ms >= 0;
+      ok = svc::parse_wire_value(val, out.server_timeout_ms) &&
+           out.server_timeout_ms >= 0;
     } else if (key == "retry-seed") {
-      ok = parse_u64(val, out.retry_seed);
+      ok = svc::parse_wire_value(val, out.retry_seed);
     } else if (key == "dedup") {
       out.dedup = val;
       ok = !val.empty() && val.find(' ') == std::string::npos;
     } else {
-      error = "unknown option: --" + key + " (see --help)";
-      return false;
+      const svc::FieldParse parsed =
+          svc::apply_job_spec_field(out.job, job_key(key), val);
+      if (parsed == svc::FieldParse::kUnknownKey) {
+        error = "unknown option: --" + key + " (see --help)";
+        return false;
+      }
+      ok = parsed == svc::FieldParse::kOk;
     }
     if (!ok) {
       error = "invalid value for --" + key + ": " + val;
       return false;
     }
   }
-  if (out.gpu_only && out.cpu_only) {
-    error = "--gpu-only and --cpu-only are mutually exclusive";
+  try {
+    out.job.validate();
+  } catch (const InvalidArgument& e) {
+    error = e.what();
     return false;
   }
-  if (out.gpu_only && out.gpus == 0) {
-    error = "--gpu-only requires --gpus >= 1";
-    return false;
-  }
-  if ((out.checkpoint_every > 0 || out.resume) && out.checkpoint_dir.empty()) {
-    error = "--checkpoint-every/--resume require --checkpoint-dir";
-    return false;
-  }
-  if (!out.checkpoint_dir.empty()) {
-    if (out.app != "cmeans" && out.app != "kmeans" && out.app != "gmm" &&
-        out.app != "stencil") {
-      error = "checkpointing supports the iterative apps only "
-              "(--app=cmeans|kmeans|gmm|stencil)";
-      return false;
-    }
-    if (!out.functional) {
-      error = "checkpointing requires --functional (snapshots carry real "
-              "application state)";
-      return false;
-    }
-    if (out.repeat != 1) {
-      error = "--checkpoint-dir and --repeat are mutually exclusive";
-      return false;
-    }
-  }
-  if (out.pipeline_depth > 1 && out.policy == "dynamic") {
-    error = "--pipeline-depth > 1 requires a static-dispatch policy "
-            "(--policy=static|adaptive), not --policy=dynamic";
+  if (!out.job.checkpoint_dir.empty() && out.repeat != 1) {
+    error = "--checkpoint-dir and --repeat are mutually exclusive";
     return false;
   }
   const int client_actions = (out.submit ? 1 : 0) +
@@ -378,44 +308,6 @@ Options parse_options_or_throw(int argc, char** argv) {
     throw InvalidArgument(error);
   }
   return out;
-}
-
-core::NodeConfig Options::node_config() const {
-  return to_job_spec(*this).node_config();
-}
-
-core::JobConfig Options::job_config() const {
-  core::JobConfig cfg = to_job_spec(*this).job_config();
-  cfg.graph_dump_path = graph_dump;
-  return cfg;
-}
-
-svc::JobSpec to_job_spec(const Options& o) {
-  svc::JobSpec s;
-  s.app = o.app;
-  s.testbed = o.testbed;
-  s.policy = o.policy;
-  s.nodes = o.nodes;
-  s.gpus = o.gpus;
-  s.points = o.points;
-  s.dims = o.dims;
-  s.clusters = o.clusters;
-  s.iterations = o.iterations;
-  s.rows = o.rows;
-  s.cols = o.cols;
-  s.functional = o.functional;
-  s.gpu_only = o.gpu_only;
-  s.cpu_only = o.cpu_only;
-  s.cpu_fraction = o.cpu_fraction;
-  s.seed = o.seed;
-  s.pipeline_depth = o.pipeline_depth;
-  s.fault_spec = o.fault_spec;
-  s.fault_seed = o.fault_seed;
-  s.checkpoint_every = o.checkpoint_every;
-  s.checkpoint_dir = o.checkpoint_dir;
-  s.resume = o.resume;
-  s.gpu_mem_bytes = o.gpu_mem_bytes;
-  return s;
 }
 
 }  // namespace prs::tools

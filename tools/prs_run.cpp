@@ -27,9 +27,7 @@
 #include "core/cluster.hpp"
 #include "core/schedule_policy.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "ckpt/store.hpp"
 #include "exec/thread_pool.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "obs/export.hpp"
 #include "obs/pool_metrics.hpp"
@@ -117,8 +115,7 @@ int run(const tools::Options& opt) {
   const bool observing = !opt.trace_path.empty() || !opt.metrics_path.empty();
   if (observing) sim.set_tracer(&tracer);
 
-  const svc::JobSpec spec = tools::to_job_spec(opt);
-  spec.validate();
+  const svc::JobSpec& spec = opt.job;
   core::NodeConfig node = spec.node_config();
   core::Cluster cluster(sim, spec.nodes, node);
   core::JobConfig cfg = spec.job_config();
@@ -139,33 +136,16 @@ int run(const tools::Options& opt) {
   }
   Rng rng(spec.seed);
 
-  // Fault injection: parse the spec into a plan and attach the injector to
-  // the job config; run_job then runs the job graph in its faulted form.
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!spec.fault_spec.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        sim, fault::FaultPlan::parse(spec.fault_spec), spec.fault_seed);
-    cfg.faults = injector.get();
-  }
-
-  // Checkpointing: file-backed snapshots of the iterative driver's state.
-  // A node_crash halts the run with the latest snapshot on disk; --resume
-  // picks it up and replays only the lost iterations.
-  std::unique_ptr<ckpt::FileCheckpointStore> store;
-  ckpt::CheckpointConfig ckpt_cfg;
-  const ckpt::CheckpointConfig* checkpoint = nullptr;
-  if (!spec.checkpoint_dir.empty()) {
-    store = std::make_unique<ckpt::FileCheckpointStore>(spec.checkpoint_dir);
-    ckpt_cfg.store = store.get();
-    ckpt_cfg.interval = spec.checkpoint_every > 0 ? spec.checkpoint_every : 1;
-    ckpt_cfg.recover = spec.resume;
-    ckpt_cfg.on_crash = ckpt::OnCrash::kHalt;
-    ckpt_cfg.prefix = spec.app;
-    ckpt_cfg.run_seed = spec.seed;
-    ckpt_cfg.fault_seed = spec.fault_seed;
-    checkpoint = &ckpt_cfg;
+  // Fault injection attaches the injector to the job config (run_job then
+  // runs the job graph in its faulted form). Checkpointing keeps
+  // file-backed snapshots of the iterative driver's state: a node_crash
+  // halts the run with the latest snapshot on disk, and --resume picks it
+  // up and replays only the lost iterations.
+  const svc::JobFixtures fx = svc::make_job_fixtures(spec, sim, cfg);
+  const ckpt::CheckpointConfig* checkpoint = fx.checkpoint_config();
+  if (checkpoint != nullptr) {
     std::printf("checkpointing every %d iteration(s) to %s%s\n",
-                ckpt_cfg.interval, spec.checkpoint_dir.c_str(),
+                checkpoint->interval, spec.checkpoint_dir.c_str(),
                 spec.resume ? " (resuming from the latest snapshot)" : "");
   }
 
@@ -178,7 +158,7 @@ int run(const tools::Options& opt) {
     const exec::PoolStats pool = exec::ThreadPool::instance().stats();
     std::fputs(svc::job_stats_text(out.stats, spec.nodes, &pool).c_str(),
                stdout);
-    if (injector != nullptr) print_fault_summary(*injector, out.stats);
+    if (fx.injector != nullptr) print_fault_summary(*fx.injector, out.stats);
     print_node_table(cluster, out.stats.elapsed);
     if (const auto* ap =
             dynamic_cast<const core::AdaptiveFeedbackPolicy*>(policy.get())) {
@@ -262,10 +242,9 @@ int client_run(const tools::Options& opt) {
                      why.c_str());
       });
   if (opt.submit) {
-    const svc::JobSpec spec = tools::to_job_spec(opt);
     std::string line = "SUBMIT tenant=" + opt.tenant;
     if (!opt.dedup.empty()) line += " dedup=" + opt.dedup;
-    const std::string tokens = spec.to_tokens();
+    const std::string tokens = opt.job.to_tokens();
     if (!tokens.empty()) line += " " + tokens;
     // Without a dedup key a SUBMIT must not be replayed once it may have
     // reached the server — a crash between send and reply would otherwise
